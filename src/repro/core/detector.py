@@ -40,14 +40,18 @@ class FusionRule(enum.Enum):
     MAJORITY = "majority"
     ANY = "any"
 
+    def required_alarms(self, groups: int) -> int:
+        """How many of ``groups`` alarms raise an alert under this rule
+        (ALL: every group, MAJORITY: more than half, ANY: one)."""
+        if self is FusionRule.ALL:
+            return groups
+        if self is FusionRule.MAJORITY:
+            return groups // 2 + 1
+        return 1
+
     def decide(self, alarms: Dict[str, bool]) -> bool:
         """Apply the rule to the per-group alarm dict."""
-        count = sum(alarms.values())
-        if self is FusionRule.ALL:
-            return count == len(alarms)
-        if self is FusionRule.MAJORITY:
-            return count * 2 > len(alarms)
-        return count > 0
+        return sum(alarms.values()) >= self.required_alarms(len(alarms))
 
 
 @dataclass(frozen=True)
@@ -130,6 +134,32 @@ class AlarmDebouncer:
         self._window = deque((bool(v) for v in state["window"]), maxlen=self.n)
 
 
+def _detector_instruments() -> Tuple[Any, Any, Any]:
+    """Telemetry (REPRO_OBS): the alarm-path counters and the histogram of
+    the per-cycle worst margin ratio, shared by the scalar and batched
+    detectors.  All None when disabled, so the evaluate() hot path pays a
+    single is-None branch."""
+    obs = get_runtime()
+    if not obs.enabled:
+        return None, None, None
+    registry = obs.registry
+    return (
+        registry.counter(
+            "repro_detector_evaluations_total",
+            "commands evaluated by the anomaly detector",
+        ),
+        registry.counter(
+            "repro_detector_alerts_total",
+            "post-debounce detector alerts",
+        ),
+        registry.histogram(
+            "repro_detector_margin_ratio",
+            "per-cycle worst margin ratio (value / threshold)",
+            buckets=MARGIN_RATIO_BUCKETS,
+        ),
+    )
+
+
 class AnomalyDetector:
     """Thresholds + fusion over estimator outputs."""
 
@@ -152,29 +182,11 @@ class AnomalyDetector:
         )
         self.evaluations = 0
         self.alerts = 0
-        # Telemetry (REPRO_OBS): alarm-path counters and a histogram of
-        # the per-cycle worst margin ratio.  All None when disabled, so
-        # the evaluate() hot path pays a single is-None branch.
-        obs = get_runtime()
-        if obs.enabled:
-            registry = obs.registry
-            self._obs_evaluations = registry.counter(
-                "repro_detector_evaluations_total",
-                "commands evaluated by the anomaly detector",
-            )
-            self._obs_alerts = registry.counter(
-                "repro_detector_alerts_total",
-                "post-debounce detector alerts",
-            )
-            self._obs_margin = registry.histogram(
-                "repro_detector_margin_ratio",
-                "per-cycle worst margin ratio (value / threshold)",
-                buckets=MARGIN_RATIO_BUCKETS,
-            )
-        else:
-            self._obs_evaluations = None
-            self._obs_alerts = None
-            self._obs_margin = None
+        (
+            self._obs_evaluations,
+            self._obs_alerts,
+            self._obs_margin,
+        ) = _detector_instruments()
 
     @property
     def thresholds(self) -> SafetyThresholds:
@@ -265,24 +277,29 @@ class AnomalyDetector:
 class BatchedAlarmDebouncer:
     """Per-lane M-of-N decision windows over batched alarm streams.
 
-    One :class:`AlarmDebouncer` per lane, vectorized: a ``(lanes, n)``
-    integer ring buffer whose running row sums reproduce each lane's
-    ``sum(deque) >= m`` decision exactly (integer arithmetic — no rounding
-    concerns).  Each lane's window advances only on its own updates, so
-    two lanes alarming in the same cycle debounce independently.
+    One :class:`AlarmDebouncer` per lane, vectorized: each lane has its
+    own ``(m, n)``, and a ``(lanes, max n)`` integer ring buffer whose
+    running row sums reproduce each lane's ``sum(deque) >= m`` decision
+    exactly (integer arithmetic — no rounding concerns).  Each lane's
+    window advances only on its own updates, so two lanes alarming in the
+    same cycle debounce independently.  ``m`` and ``n`` hold one value
+    per lane.
     """
 
-    def __init__(self, m: int, n: int, lanes: int) -> None:
+    def __init__(self, m: Sequence[int], n: Sequence[int]) -> None:
+        self.m = np.array(m, dtype=np.int64)
+        self.n = np.array(n, dtype=np.int64)
+        self.lanes = len(self.m)
+        lanes = self.lanes
         if lanes < 1:
             raise ValueError("lanes must be >= 1")
-        if n < 1:
+        if len(self.n) != lanes:
+            raise ValueError(f"expected {lanes} per-lane window sizes, got {len(n)}")
+        if np.any(self.n < 1):
             raise ValueError("decision window size n must be >= 1")
-        if not (1 <= m <= n):
+        if np.any((self.m < 1) | (self.m > self.n)):
             raise ValueError("decision threshold m must be in [1, n]")
-        self.m = m
-        self.n = n
-        self.lanes = lanes
-        self._ring = np.zeros((lanes, n), dtype=np.int64)
+        self._ring = np.zeros((lanes, int(self.n.max())), dtype=np.int64)
         self._sums = np.zeros(lanes, dtype=np.int64)
         self._pos = np.zeros(lanes, dtype=np.int64)
         self._filled = np.zeros(lanes, dtype=np.int64)
@@ -305,8 +322,9 @@ class BatchedAlarmDebouncer:
         evicted = self._ring[idx, pos]
         self._ring[idx, pos] = raw[idx]
         self._sums[idx] += raw[idx] - evicted
-        self._pos[idx] = (pos + 1) % self.n
-        self._filled[idx] = np.minimum(self._filled[idx] + 1, self.n)
+        n = self.n[idx]
+        self._pos[idx] = (pos + 1) % n
+        self._filled[idx] = np.minimum(self._filled[idx] + 1, n)
         return self._sums >= self.m
 
     def reset(self) -> None:
@@ -318,12 +336,15 @@ class BatchedAlarmDebouncer:
 
     def lane_window(self, lane: int) -> Tuple[bool, ...]:
         """One lane's window contents, oldest first (like ``window``)."""
+        n = int(self.n[lane])
         count = int(self._filled[lane])
         pos = int(self._pos[lane])
-        if count < self.n:
+        if count < n:
             ordered = self._ring[lane, :count]
         else:
-            ordered = np.concatenate([self._ring[lane, pos:], self._ring[lane, :pos]])
+            ordered = np.concatenate(
+                [self._ring[lane, pos:n], self._ring[lane, :pos]]
+            )
         return tuple(bool(v) for v in ordered)
 
     # -- durable state (session checkpoints, see repro.fleet) ----------------------
@@ -336,8 +357,8 @@ class BatchedAlarmDebouncer:
         debouncer and vice versa.
         """
         return {
-            "m": self.m,
-            "n": self.n,
+            "m": int(self.m[lane]),
+            "n": int(self.n[lane]),
             "window": [bool(v) for v in self.lane_window(lane)],
         }
 
@@ -347,15 +368,16 @@ class BatchedAlarmDebouncer:
         Raises
         ------
         ValueError
-            When the stored window shape differs from this debouncer's
+            When the stored window shape differs from this lane's
             configuration, mirroring :meth:`AlarmDebouncer.restore`.
         """
-        if int(state["m"]) != self.m or int(state["n"]) != self.n:
+        m, n = int(self.m[lane]), int(self.n[lane])
+        if int(state["m"]) != m or int(state["n"]) != n:
             raise ValueError(
                 f"decision-window mismatch: snapshot ({state['m']}, "
-                f"{state['n']}) vs configured ({self.m}, {self.n})"
+                f"{state['n']}) vs configured ({m}, {n})"
             )
-        window = [int(bool(v)) for v in state["window"]][-self.n :]
+        window = [int(bool(v)) for v in state["window"]][-n:]
         count = len(window)
         # Lay the window down oldest-first from slot 0; the next write
         # position and fill count then reproduce deque(maxlen=n)
@@ -363,7 +385,7 @@ class BatchedAlarmDebouncer:
         self._ring[lane, :] = 0
         self._ring[lane, :count] = window
         self._sums[lane] = sum(window)
-        self._pos[lane] = count % self.n
+        self._pos[lane] = count % n
         self._filled[lane] = count
 
     def remove_lanes(self, lanes: Sequence[int]) -> List[int]:
@@ -379,6 +401,8 @@ class BatchedAlarmDebouncer:
         if not keep.any():
             raise ValueError("cannot remove every lane; drop the batch instead")
         survivors = [i for i in range(self.lanes) if keep[i]]
+        self.m = self.m[keep].copy()
+        self.n = self.n[keep].copy()
         self._ring = self._ring[keep].copy()
         self._sums = self._sums[keep].copy()
         self._pos = self._pos[keep].copy()
@@ -425,17 +449,21 @@ class BatchedDetectionResult:
 class BatchedAnomalyDetector:
     """N detector lanes evaluated in one vectorized pass.
 
-    Thresholds may differ per lane; the fusion rule and decision window
-    shape are shared.  Evaluation and alert counters are **per lane** —
-    two lanes alarming in the same batched cycle each count their own
-    alert (see ``tests/test_batch_equivalence.py``).
+    Thresholds, the fusion rule and the decision window may all differ
+    per lane: fusion becomes a per-lane required alarm count (ALL 3,
+    MAJORITY 2, ANY 1 of the three groups) and each lane with a window
+    keeps its own ``(m, n)``.  ``fusion`` and ``decision_windows`` hold
+    one entry per lane (``None``: ALL, no window, on every lane).
+    Evaluation and alert counters are **per lane** — two lanes alarming in
+    the same batched cycle each count their own alert (see
+    ``tests/test_batch_equivalence.py``).
     """
 
     def __init__(
         self,
         thresholds: Sequence[SafetyThresholds],
-        fusion: FusionRule = FusionRule.ALL,
-        decision_window: Optional[Tuple[int, int]] = None,
+        fusion: Optional[Sequence[FusionRule]] = None,
+        decision_windows: Optional[Sequence[Optional[Tuple[int, int]]]] = None,
     ) -> None:
         if not thresholds:
             raise DetectorError("at least one lane of thresholds is required")
@@ -447,32 +475,55 @@ class BatchedAnomalyDetector:
             )
             for group in VARIABLE_GROUPS
         }
-        self.fusion = fusion
+        lanes = self.num_lanes
+        self.fusion = (FusionRule.ALL,) * lanes if fusion is None else tuple(fusion)
+        self.decision_windows = (
+            (None,) * lanes if decision_windows is None else tuple(decision_windows)
+        )
+        for what, values in (
+            ("fusion rules", self.fusion),
+            ("decision windows", self.decision_windows),
+        ):
+            if len(values) != lanes:
+                raise DetectorError(f"expected {lanes} {what}, got {len(values)}")
+        self._required = np.array(
+            [rule.required_alarms(len(VARIABLE_GROUPS)) for rule in self.fusion],
+            dtype=np.int64,
+        )
+        self._windowed = np.array(
+            [window is not None for window in self.decision_windows], dtype=bool
+        )
+        # Lanes without a window ride the shared ring as (1, 1), whose
+        # decision is the raw alarm itself.
         self.debouncer = (
-            None
-            if decision_window is None
-            else BatchedAlarmDebouncer(*decision_window, lanes=self.num_lanes)
+            BatchedAlarmDebouncer(
+                [1 if w is None else w[0] for w in self.decision_windows],
+                [1 if w is None else w[1] for w in self.decision_windows],
+            )
+            if self._windowed.any()
+            else None
         )
         self.evaluations = np.zeros(self.num_lanes, dtype=np.int64)
         self.alerts = np.zeros(self.num_lanes, dtype=np.int64)
+        (
+            self._obs_evaluations,
+            self._obs_alerts,
+            self._obs_margin,
+        ) = _detector_instruments()
 
     @classmethod
     def from_detectors(
         cls, detectors: Sequence["AnomalyDetector"]
     ) -> "BatchedAnomalyDetector":
-        """Build from per-lane scalar detectors (shared fusion/window)."""
-        from repro.dynamics.batch import require_homogeneous
-
-        require_homogeneous([d.fusion for d in detectors], "fusion rule")
-        windows = [
-            None if d.debouncer is None else (d.debouncer.m, d.debouncer.n)
-            for d in detectors
-        ]
-        require_homogeneous(windows, "decision window")
+        """Build from per-lane scalar detectors (their configuration only;
+        load counters and windows with :meth:`load_lane_state`)."""
         return cls(
             [d.thresholds for d in detectors],
-            fusion=detectors[0].fusion,
-            decision_window=windows[0],
+            fusion=[d.fusion for d in detectors],
+            decision_windows=[
+                None if d.debouncer is None else (d.debouncer.m, d.debouncer.n)
+                for d in detectors
+            ],
         )
 
     def evaluate(
@@ -495,19 +546,24 @@ class BatchedAnomalyDetector:
             alarms[group] = flags
             margins[group] = ratio
             counts += flags
-        total = len(VARIABLE_GROUPS)
-        if self.fusion is FusionRule.ALL:
-            raw_alert = counts == total
-        elif self.fusion is FusionRule.MAJORITY:
-            raw_alert = counts * 2 > total
-        else:
-            raw_alert = counts > 0
+        raw_alert = counts >= self._required
         if self.debouncer is None:
             alert = raw_alert.copy()
         else:
-            alert = self.debouncer.update(raw_alert, mask)
+            alert = np.where(
+                self._windowed, self.debouncer.update(raw_alert, mask), raw_alert
+            )
         self.evaluations[mask] += 1
         self.alerts[mask & alert] += 1
+        if self._obs_evaluations is not None:
+            lanes = np.nonzero(mask)[0]
+            self._obs_evaluations.inc(len(lanes))
+            worst = np.max(np.stack(list(margins.values())), axis=0)
+            for lane in lanes:
+                self._obs_margin.observe(worst[lane])
+            fired = int(np.count_nonzero(mask & alert))
+            if fired:
+                self._obs_alerts.inc(fired)
         return BatchedDetectionResult(
             alert=alert, alarms=alarms, margins=margins, raw_alert=raw_alert
         )
@@ -528,9 +584,7 @@ class BatchedAnomalyDetector:
             "evaluations": int(self.evaluations[lane]),
             "alerts": int(self.alerts[lane]),
             "debouncer": (
-                None
-                if self.debouncer is None
-                else self.debouncer.lane_state(lane)
+                self.debouncer.lane_state(lane) if self._windowed[lane] else None
             ),
         }
 
@@ -544,14 +598,14 @@ class BatchedAnomalyDetector:
             :meth:`AnomalyDetector.restore`.
         """
         window = state.get("debouncer")
-        if (window is None) != (self.debouncer is None):
+        if (window is None) == bool(self._windowed[lane]):
             raise ValueError(
                 "decision-window presence mismatch between snapshot and "
                 "configured detector"
             )
         self.evaluations[lane] = int(state["evaluations"])
         self.alerts[lane] = int(state["alerts"])
-        if self.debouncer is not None:
+        if window is not None:
             self.debouncer.load_lane_state(lane, window)
 
     def remove_lanes(self, lanes: Sequence[int]) -> List[int]:
@@ -573,6 +627,10 @@ class BatchedAnomalyDetector:
         self._limits = {
             group: rows[keep].copy() for group, rows in self._limits.items()
         }
+        self.fusion = tuple(self.fusion[i] for i in survivors)
+        self.decision_windows = tuple(self.decision_windows[i] for i in survivors)
+        self._required = self._required[keep].copy()
+        self._windowed = self._windowed[keep].copy()
         self.evaluations = self.evaluations[keep].copy()
         self.alerts = self.alerts[keep].copy()
         if self.debouncer is not None:

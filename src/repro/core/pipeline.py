@@ -31,6 +31,8 @@ arriving entirely.  Its health state machine:
 from __future__ import annotations
 
 import enum
+import math
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -403,19 +405,29 @@ class DetectorGuard:
         if self._obs_packets is not None:
             self._obs_packets.inc()
 
+    def _record_verdict(self, alert: bool) -> None:
+        """Bookkeeping every evaluated packet gets, alerting or not.
+
+        A batched sink that decides a lane's packet is clear calls only
+        this (the forensic stash stays cleared: no fleet reader needs
+        it); alerting packets go through :meth:`_finish_evaluation`.
+        """
+        self.stats.packets_evaluated += 1
+        if not alert:
+            self._block_streak = 0
+
     def _finish_evaluation(
         self, packet: CommandPacket, estimate: StateEstimate, result: DetectionResult
     ) -> bool:
         """Post-evaluation decision chain (alerting, blocking, E-STOP).
 
         Shared verbatim between the inline path above and the batched
-        sink, so mitigation semantics cannot drift between the two.
+        sinks, so mitigation semantics cannot drift between them.
         """
-        self.stats.packets_evaluated += 1
+        self._record_verdict(result.alert)
         self.last_estimate = estimate
         self.last_evaluation = result
         if not result.alert:
-            self._block_streak = 0
             return True
 
         self.stats.alerts += 1
@@ -610,11 +622,16 @@ class GuardSupervisor:
     # -- degraded-mode machinery -------------------------------------------------
 
     def _plausible(self, mpos: np.ndarray) -> bool:
-        if not np.all(np.isfinite(mpos)):
+        # Plain float arithmetic on the 3-vector: the same IEEE operations
+        # as the vectorized max(|mpos - last|), without numpy's per-call
+        # overhead.  ``_last_mpos`` is only ever stored when finite, so
+        # ``max`` never meets a NaN.
+        values = mpos.tolist()
+        if not all(map(math.isfinite, values)):
             return False
         if self._last_mpos is None:
             return True
-        jump = float(np.max(np.abs(mpos - self._last_mpos)))
+        jump = max(map(abs, map(operator.sub, values, self._last_mpos.tolist())))
         return jump <= self.config.implausible_jump_rad
 
     def _escalate_stale(self, reason: str) -> None:

@@ -22,8 +22,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from hashlib import sha256
-from json import dumps
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from json.encoder import encode_basestring_ascii
+from typing import Any, Deque, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from repro.core.mitigation import MitigationStrategy
 from repro.core.pipeline import DetectorGuard, GuardSupervisor, SupervisorConfig
 from repro.core.thresholds import SafetyThresholds
 from repro.fleet.config import FleetConfig
-from repro.hw.usb_packet import CommandPacket, decode_command_packet, encode_command_packet
+from repro.hw.usb_packet import CommandPacket, check_dac_values, command_packet
 
 #: Schema version of fleet session checkpoints.  v2 added
 #: ``frames_ingested``; v1 payloads still restore (the counter is
@@ -55,6 +55,12 @@ class TelemetryFrame:
     ``dac`` is the commanded DAC triple the rig's control software
     emitted; ``mpos`` is the accompanying motor-shaft measurement
     (radians), or ``None`` when the frame carried no measurement.
+
+    A DAC that no command packet can carry (a value outside int16) is
+    rejected here, with :class:`~repro.errors.PacketError`, so a
+    malformed frame never reaches a fleet tick.  The frame stores its DACs
+    as ``int`` and its pedal as ``bool``, the types the decision chain's
+    canonical record encodes.
     """
 
     tick: int
@@ -62,12 +68,14 @@ class TelemetryFrame:
     pedal_down: bool = True
     mpos: Optional[Tuple[float, float, float]] = None
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "dac", tuple(check_dac_values(self.dac)))
+        object.__setattr__(self, "pedal_down", bool(self.pedal_down))
+
     def to_packet(self) -> CommandPacket:
         """The equivalent on-wire command packet (canonical encoding)."""
         state = RobotState.PEDAL_DOWN if self.pedal_down else RobotState.PEDAL_UP
-        return decode_command_packet(
-            encode_command_packet(state, True, list(self.dac))
-        )
+        return command_packet(state, True, self.dac)
 
     def mpos_array(self) -> Optional[np.ndarray]:
         if self.mpos is None:
@@ -153,36 +161,12 @@ class SessionSpec:
         return GuardSupervisor(guard, self.supervisor_config(fleet))
 
 
-def _chain_digest(prev_hex: str, record: Dict[str, Any]) -> str:
+_JSON_BOOL = ("false", "true")
+
+
+def _chain_digest(prev_hex: str, encoded: str) -> str:
     """One link of the decision hash chain."""
-    encoded = dumps(record, sort_keys=True, separators=(",", ":"))
     return sha256((prev_hex + encoded).encode("utf-8")).hexdigest()
-
-
-@dataclass
-class DecisionRecord:
-    """One guard decision, as it enters the session's hash chain."""
-
-    tick: int
-    dac: Tuple[int, ...]
-    pedal_down: bool
-    had_mpos: bool
-    allowed: bool
-    evaluated: bool
-    alert: bool
-    health: str
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "tick": self.tick,
-            "dac": list(self.dac),
-            "pedal_down": self.pedal_down,
-            "had_mpos": self.had_mpos,
-            "allowed": self.allowed,
-            "evaluated": self.evaluated,
-            "alert": self.alert,
-            "health": self.health,
-        }
 
 
 @dataclass
@@ -209,7 +193,7 @@ class FleetSession:
         self.board = SessionBoard()
         self.supervisor.attach(self.board)
         self.queue: Deque[TelemetryFrame] = deque()
-        self.pending: List[_PendingDecision] = []
+        self.pending: Deque[_PendingDecision] = deque()
         self.recent: Deque[Dict[str, Any]] = deque(maxlen=RECENT_DECISIONS)
         # The chain's genesis is the session id, so two sessions with
         # identical decision histories still have distinct digests.
@@ -259,17 +243,33 @@ class FleetSession:
         alert: bool,
         health: Optional[str] = None,
     ) -> None:
-        record = DecisionRecord(
-            tick=tick,
-            dac=tuple(frame.dac),
-            pedal_down=frame.pedal_down,
-            had_mpos=frame.mpos is not None,
-            allowed=allowed,
-            evaluated=evaluated,
-            alert=alert,
-            health=self.health if health is None else health,
-        ).to_dict()
-        self.digest = _chain_digest(self.digest, record)
+        if health is None:
+            health = self.health
+        dac = list(frame.dac)
+        had_mpos = frame.mpos is not None
+        record = {
+            "tick": tick,
+            "dac": dac,
+            "pedal_down": frame.pedal_down,
+            "had_mpos": had_mpos,
+            "allowed": allowed,
+            "evaluated": evaluated,
+            "alert": alert,
+            "health": health,
+        }
+        # The chain's canonical record: the bytes of
+        # ``json.dumps(record, sort_keys=True, separators=(",", ":"))``, built
+        # directly (the frame holds int DACs and a bool pedal; the verdict
+        # flags are bools).
+        encoded = (
+            f'{{"alert":{_JSON_BOOL[alert]},"allowed":{_JSON_BOOL[allowed]},'
+            f'"dac":[{",".join(map(str, dac))}],'
+            f'"evaluated":{_JSON_BOOL[evaluated]},'
+            f'"had_mpos":{_JSON_BOOL[had_mpos]},'
+            f'"health":{encode_basestring_ascii(health)},'
+            f'"pedal_down":{_JSON_BOOL[frame.pedal_down]},"tick":{tick}}}'
+        )
+        self.digest = _chain_digest(self.digest, encoded)
         self.decisions += 1
         self.recent.append(record)
 

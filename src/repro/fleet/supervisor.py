@@ -1,12 +1,15 @@
 """The fleet supervisor: fail-operational multiplexing of many sessions.
 
 :class:`FleetSupervisor` drives N registered sessions through one
-**batched lane pack**: each session's guard keeps its own scalar
-detector, statistics and supervisor state machine, but the numeric core
-(estimator sync/coast, one-step model prediction) runs once per tick
-through a shared :class:`repro.core.BatchedNextStateEstimator` — the same
-batch-sink seam :class:`repro.sim.batch.BatchedSurgicalRig` uses, so a
-lane's bytes are provably independent of who else is packed with it.
+**batched lane pack**: each session's guard keeps its own statistics,
+mitigation chain and supervisor state machine, but the numeric core
+(estimator sync/coast, one-step model prediction, thresholds, fusion and
+decision window) runs once per round through a shared
+:class:`repro.core.BatchedNextStateEstimator` and
+:class:`repro.core.BatchedAnomalyDetector` — the same batch-sink seam
+:class:`repro.sim.batch.BatchedSurgicalRig` uses, so a lane's bytes are
+provably independent of who else is packed with it.  Only lanes that
+alert run per-lane Python beyond their counters.
 
 Fail-operational guarantees:
 
@@ -35,12 +38,14 @@ deterministic.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.control.state_machine import RobotState
+from repro.core.detector import BatchedAnomalyDetector
 from repro.core.estimator import BatchedNextStateEstimator
 from repro.core.pipeline import DetectorGuard
 from repro.errors import FleetError, SessionStoreError, SnapshotIntegrityError
@@ -52,6 +57,7 @@ from repro.fleet.store import (
     SessionSnapshot,
     SessionStore,
 )
+from repro.hw.usb_packet import CommandPacket
 from repro.obs.export import write_jsonl
 from repro.obs.runtime import get_runtime
 
@@ -60,21 +66,32 @@ from repro.obs.runtime import get_runtime
 class _FleetCapture:
     """One deferred guard evaluation (one frame on one lane)."""
 
-    lane: int
     guard: DetectorGuard
-    packet: Any
+    packet: CommandPacket
     mpos: Optional[np.ndarray]
 
 
+def _lane_mask(num: int, lanes) -> np.ndarray:
+    """Boolean mask over ``num`` lanes, set at ``lanes``."""
+    mask = np.zeros(num, dtype=bool)
+    mask[list(lanes)] = True
+    return mask
+
+
 class _SessionPack:
-    """Batch sink multiplexing the sessions' estimators (one lane each).
+    """Batch sink multiplexing the sessions' estimators and detectors.
 
     The fleet counterpart of ``repro.sim.batch._BatchGuardCoordinator``:
     identical masked sync/coast/estimate rounds against a
     :class:`BatchedNextStateEstimator`, minus the DAC latch boards (the
-    fleet reports decisions instead of driving motors).  Per-lane scalar
-    work (detector evaluation, mitigation chain) is isolated: a lane that
-    throws is reported as faulted, never allowed to unwind the pack.
+    fleet reports decisions instead of driving motors), plus one
+    :class:`BatchedAnomalyDetector` pass per round for every lane's
+    verdict.  Each session's guard keeps its scalar estimator and
+    detector as the durable copy: lanes load from them and
+    :meth:`writeback` into them.  Per-lane scalar work (the mitigation
+    chain of an alerting lane, a clear lane's bookkeeping) is isolated: a
+    lane that throws is reported as faulted, never allowed to unwind the
+    pack.
     """
 
     def __init__(self, guards: List[DetectorGuard]) -> None:
@@ -88,19 +105,23 @@ class _SessionPack:
             [g.estimator.alpha for g in guards], "velocity_filter_alpha"
         )
         self.guards = list(guards)
-        # Built pristine from the lanes' models, then loaded lane by lane
-        # from the scalar estimators' snapshots — this is also the resume
-        # path, where estimators already hold checkpointed state (so
+        # Built pristine from the lanes' configuration, then loaded lane by
+        # lane from the scalar snapshots — this is also the resume path,
+        # where the scalar copies already hold checkpointed state (so
         # ``from_estimators``'s pristine-only constructor cannot be used).
         self.estimator = BatchedNextStateEstimator(
             [g.estimator.model for g in guards],
             dt=guards[0].estimator.dt,
             velocity_filter_alpha=guards[0].estimator.alpha,
         )
+        self.detector = BatchedAnomalyDetector.from_detectors(
+            [g.detector for g in guards]
+        )
         for lane, guard in enumerate(guards):
             self.estimator.load_lane_state(lane, guard.estimator.snapshot())
+            self.detector.load_lane_state(lane, guard.detector.snapshot())
         self._lane_of = {id(g): i for i, g in enumerate(guards)}
-        self._captures: List[List[_FleetCapture]] = [[] for _ in guards]
+        self._captures: List[Deque[_FleetCapture]] = [deque() for _ in guards]
         for guard in guards:
             guard._batch_sink = self
 
@@ -116,9 +137,8 @@ class _SessionPack:
 
     def capture(self, guard: DetectorGuard, packet, mpos) -> bool:
         """Record one packet for deferred batched evaluation."""
-        lane = self._lane_of[id(guard)]
-        self._captures[lane].append(
-            _FleetCapture(lane=lane, guard=guard, packet=packet, mpos=mpos)
+        self._captures[self._lane_of[id(guard)]].append(
+            _FleetCapture(guard=guard, packet=packet, mpos=mpos)
         )
         return True
 
@@ -127,78 +147,79 @@ class _SessionPack:
     ) -> Tuple[List[Tuple[int, bool, bool, bool]], List[Tuple[int, BaseException]]]:
         """Run all deferred evaluations, batched; report per-lane verdicts.
 
-        Returns ``(decisions, faults)``: decisions are
+        Each round takes the oldest capture of every lane that has one:
+        one masked sync/coast, one estimate and one detector pass over the
+        whole pack.  Returns ``(decisions, faults)``: decisions are
         ``(lane, allowed, evaluated, alert)`` in per-lane FIFO order;
-        faults are ``(lane, exception)`` for lanes whose scalar evaluation
+        faults are ``(lane, exception)`` for lanes whose per-lane step
         raised (their remaining captures are dropped — the session is
         about to be quarantined).
         """
         num = self.num_lanes
+        captures = self._captures
         decisions: List[Tuple[int, bool, bool, bool]] = []
         faults: List[Tuple[int, BaseException]] = []
-        dead = np.zeros(num, dtype=bool)
-        while any(self._captures):
+        while any(captures):
             self.estimator.model.refresh_parameters()
-            round_caps: List[Optional[_FleetCapture]] = [
-                caps.pop(0) if caps else None for caps in self._captures
+            round_caps = [
+                (lane, caps.popleft()) for lane, caps in enumerate(captures) if caps
             ]
-            sync_mask = np.zeros(num, dtype=bool)
-            coast_mask = np.zeros(num, dtype=bool)
-            mpos_rows = np.zeros((num, 3))
-            for cap in round_caps:
-                if cap is None or dead[cap.lane]:
-                    continue
-                if cap.mpos is not None:
-                    sync_mask[cap.lane] = True
-                    mpos_rows[cap.lane] = cap.mpos
-                else:
-                    coast_mask[cap.lane] = True
-            if sync_mask.any():
-                self.estimator.sync(mpos_rows, sync_mask)
-            if coast_mask.any():
-                self.estimator.coast(coast_mask)
+            measured = [
+                (lane, cap.mpos) for lane, cap in round_caps if cap.mpos is not None
+            ]
+            if measured:
+                lanes, rows = zip(*measured)
+                mpos_rows = np.zeros((num, 3))
+                mpos_rows[list(lanes)] = rows
+                self.estimator.sync(mpos_rows, _lane_mask(num, lanes))
+            if len(measured) < len(round_caps):
+                coasting = [lane for lane, cap in round_caps if cap.mpos is None]
+                self.estimator.coast(_lane_mask(num, coasting))
 
-            synced = self.estimator.synced
-            eval_mask = np.zeros(num, dtype=bool)
-            dac_rows = np.zeros((num, 3))
-            for cap in round_caps:
-                if cap is None or dead[cap.lane]:
-                    continue
-                if cap.packet.state is RobotState.PEDAL_DOWN and synced[cap.lane]:
-                    eval_mask[cap.lane] = True
-                    dac_rows[cap.lane] = np.asarray(
-                        cap.packet.dac_values[:3], dtype=float
-                    )
-            if eval_mask.any():
-                batch_estimate = self.estimator.estimate(dac_rows, eval_mask)
-            for cap in round_caps:
-                if cap is None or dead[cap.lane]:
-                    continue
-                if not eval_mask[cap.lane]:
+            synced = self.estimator.synced.tolist()
+            evaluated: List[Tuple[int, _FleetCapture]] = []
+            for lane, cap in round_caps:
+                if cap.packet.state is RobotState.PEDAL_DOWN and synced[lane]:
+                    evaluated.append((lane, cap))
+                else:
                     # Pedal up / not yet synced: allowed, not evaluated.
-                    decisions.append((cap.lane, True, False, False))
-                    continue
+                    decisions.append((lane, True, False, False))
+            if not evaluated:
+                continue
+            eval_lanes = [lane for lane, _ in evaluated]
+            eval_mask = _lane_mask(num, eval_lanes)
+            dac_rows = np.zeros((num, 3))
+            dac_rows[eval_lanes] = [cap.packet.dac_values[:3] for _, cap in evaluated]
+            estimate = self.estimator.estimate(dac_rows, eval_mask)
+            result = self.detector.evaluate(estimate, eval_mask)
+            alerts = result.alert.tolist()
+            for lane, cap in evaluated:
+                alert = alerts[lane]
                 try:
-                    estimate = batch_estimate.lane(cap.lane)
-                    result = cap.guard.detector.evaluate(estimate)
-                    allowed = cap.guard._finish_evaluation(
-                        cap.packet, estimate, result
-                    )
+                    if alert:
+                        allowed = cap.guard._finish_evaluation(
+                            cap.packet, estimate.lane(lane), result.lane(lane)
+                        )
+                    else:
+                        cap.guard._record_verdict(False)
+                        allowed = True
                 except Exception as exc:  # noqa: BLE001 — lane isolation
-                    faults.append((cap.lane, exc))
-                    dead[cap.lane] = True
-                    self._captures[cap.lane].clear()
+                    faults.append((lane, exc))
+                    captures[lane].clear()
                     continue
-                decisions.append((cap.lane, allowed, True, result.alert))
+                decisions.append((lane, allowed, True, alert))
         return decisions, faults
 
     def writeback(self, lane: int) -> None:
-        """Copy a lane's batched estimator state into its scalar twin.
+        """Copy a lane's batched estimator and detector state into its
+        scalar twins.
 
         Called before checkpointing (the snapshot serializes the scalar
-        estimator) and before rebuilding the pack.
+        copies) and before rebuilding the pack.
         """
-        self.guards[lane].estimator.restore(self.estimator.lane_state(lane))
+        guard = self.guards[lane]
+        guard.estimator.restore(self.estimator.lane_state(lane))
+        guard.detector.restore(self.detector.lane_state(lane))
 
     def remove_lanes(self, lanes: List[int]) -> None:
         """Eject quarantined lanes; survivors' rows keep their bytes."""
@@ -208,6 +229,7 @@ class _SessionPack:
             self.writeback(lane)  # preserve final state for forensics
             guard._batch_sink = None
         self.estimator.remove_lanes(lanes)
+        self.detector.remove_lanes(lanes)
         self.guards = [g for i, g in enumerate(self.guards) if i not in removed]
         self._captures = [
             caps for i, caps in enumerate(self._captures) if i not in removed
@@ -251,6 +273,8 @@ class FleetSupervisor:
         self.sessions: Dict[str, FleetSession] = {}
         self._order: List[str] = []  # registration order (determinism)
         self._pack: Optional[_SessionPack] = None
+        #: A registration since the pack was built: rebuild on next use.
+        self._pack_stale = False
         self.tick_count = 0
         self.sessions_killed = 0
         self.stores_corrupted = 0
@@ -288,7 +312,11 @@ class FleetSupervisor:
         ]
 
     def register(self, spec: SessionSpec) -> FleetSession:
-        """Add a session to the fleet (rebuilds the lane pack)."""
+        """Add a session to the fleet.
+
+        The lane pack is rebuilt once, on its next use, not once per
+        registration: registering N sessions loads N lanes, not N²/2.
+        """
         if spec.session_id in self.sessions:
             raise FleetError(f"session {spec.session_id!r} already registered")
         if len(self.sessions) >= self.config.max_sessions:
@@ -296,9 +324,10 @@ class FleetSupervisor:
                 f"fleet is full ({self.config.max_sessions} sessions)"
             )
         session = FleetSession(spec, self.config)
+        self._check_packable(session)
         self.sessions[spec.session_id] = session
         self._order.append(spec.session_id)
-        self._rebuild_pack()
+        self._pack_stale = True
         self._update_gauges()
         return session
 
@@ -315,6 +344,8 @@ class FleetSupervisor:
             raise FleetError(
                 f"session {spec.session_id!r} has no stored checkpoint"
             )
+        # The lane loads from the restored state when the pack (stale
+        # since register) is rebuilt on its next use.
         session = self.register(spec)
         try:
             session.restore_payload(snapshot.payload)
@@ -323,22 +354,49 @@ class FleetSupervisor:
         except Exception:
             self._quarantine([spec.session_id], "restore failed")
             raise
-        self._rebuild_pack()  # reload the lane from the restored state
         return session
 
-    def _rebuild_pack(self) -> None:
-        """Rebuild the batched pack over the active sessions.
+    def _check_packable(self, session: FleetSession) -> None:
+        """Refuse a session whose estimator cannot share the lane pack.
 
-        Live lane state is written back into the scalar estimators first,
-        so re-packing is state-preserving (the snapshot round-trip is
-        bit-exact; see ``tests/test_guard_snapshot.py``).
+        The pack batches one estimator configuration (integrator, dt,
+        velocity filter); a session that differs is rejected here, before
+        it joins the roster, so it can never stop the pack from building
+        for the sessions already deciding.
         """
+        active = self.active
+        if not active:
+            return
+        ours = session.supervisor.guard.estimator
+        fleet = active[0].supervisor.guard.estimator
+        for what, mine, theirs in (
+            ("integrator", ours.model.integrator_name, fleet.model.integrator_name),
+            ("estimator dt", ours.dt, fleet.dt),
+            ("velocity_filter_alpha", ours.alpha, fleet.alpha),
+        ):
+            if mine != theirs:
+                raise FleetError(
+                    f"session {session.session_id!r} cannot join the lane pack: "
+                    f"its {what} {mine!r} differs from the fleet's {theirs!r}"
+                )
+
+    def _ensure_pack(self) -> None:
+        """Rebuild the batched pack over the active sessions if a
+        registration made it stale.
+
+        Live lane state is written back into the scalar estimators and
+        detectors first, so re-packing is state-preserving (the snapshot
+        round-trip is bit-exact; see ``tests/test_guard_snapshot.py``).
+        """
+        if not self._pack_stale:
+            return
         if self._pack is not None:
             self._pack.detach()
             self._pack = None
         guards = [s.supervisor.guard for s in self.active]
         if guards:
             self._pack = _SessionPack(guards)
+        self._pack_stale = False
 
     # -- ingest ------------------------------------------------------------------
 
@@ -366,6 +424,7 @@ class FleetSupervisor:
         report = TickReport(tick=tick)
 
         self._apply_chaos(tick, report)
+        self._ensure_pack()
 
         # Watchdogs + drain (registration order, deterministic).
         for session in self.active:
@@ -384,7 +443,7 @@ class FleetSupervisor:
             lanes = self.active
             for lane, allowed, evaluated, alert in decisions:
                 session = lanes[lane]
-                pending = session.pending.pop(0)
+                pending = session.pending.popleft()
                 session.record_decision(
                     pending.tick,
                     pending.frame,
@@ -418,12 +477,9 @@ class FleetSupervisor:
         are recorded on the spot.
         """
         session.last_frame = frame
-        lane = (
-            self._pack.lane_of(session.supervisor.guard)
-            if self._pack is not None
-            else None
-        )
-        before = self._pack.pending_captures(lane) if lane is not None else 0
+        pack = self._pack
+        lane = pack.lane_of(session.supervisor.guard)
+        before = pack.pending_captures(lane)
         allowed = session.supervisor.process(frame.to_packet(), frame.mpos_array())
         session.frames_processed += 1
         if self._c_frames is not None:
@@ -432,7 +488,7 @@ class FleetSupervisor:
         # Decisions are recorded against the *frame's* tick, not the fleet
         # tick, so a resumed session replaying old frames at later fleet
         # ticks still reproduces the uninterrupted run's exact chain.
-        if lane is not None and self._pack.pending_captures(lane) > before:
+        if pack.pending_captures(lane) > before:
             session.pending.append(
                 _PendingDecision(
                     tick=frame.tick, frame=frame, health=session.health
@@ -525,6 +581,7 @@ class FleetSupervisor:
         otherwise the session's own guard walks STALE -> E-STOP and the
         event is logged + flight-dumped.
         """
+        self._ensure_pack()
         active = self.active
         lanes = [
             i for i, s in enumerate(active) if s.session_id in set(session_ids)
@@ -624,6 +681,7 @@ class FleetSupervisor:
 
     def checkpoint(self, session_id: str, tick: int) -> SessionSnapshot:
         """Write one session's current state to the store, now."""
+        self._ensure_pack()
         session = self.sessions[session_id]
         if self._pack is not None and not session.quarantined:
             self._pack.writeback(self._pack.lane_of(session.supervisor.guard))

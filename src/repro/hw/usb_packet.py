@@ -70,6 +70,46 @@ class FeedbackPacket:
     checksum_ok: bool
 
 
+def check_dac_values(dac_values: Sequence[int]) -> List[int]:
+    """The DAC channels as ints, checked against the packet format.
+
+    Raises
+    ------
+    PacketError
+        If there are more than 8 channels or a value does not fit in a
+        signed 16-bit field.
+    """
+    if len(dac_values) > constants.USB_NUM_CHANNELS:
+        raise PacketError(f"at most {constants.USB_NUM_CHANNELS} DAC channels")
+    values = []
+    for value in dac_values:
+        value = int(value)
+        if not (_INT16_MIN <= value <= _INT16_MAX):
+            raise PacketError(f"DAC value {value} out of int16 range")
+        values.append(value)
+    return values
+
+
+def command_packet(
+    state: RobotState, watchdog: bool, dac_values: Sequence[int]
+) -> CommandPacket:
+    """The packet ``decode_command_packet(encode_command_packet(...))``
+    returns for the same arguments, built without the byte round trip.
+
+    Raises :class:`PacketError` exactly where :func:`encode_command_packet`
+    does.
+    """
+    values = check_dac_values(dac_values)
+    values.extend([0] * (constants.USB_NUM_CHANNELS - len(values)))
+    return CommandPacket(
+        raw_state_byte=_state_byte(state, watchdog),
+        state=state,
+        watchdog=bool(watchdog),
+        dac_values=values,
+        checksum_ok=True,
+    )
+
+
 def encode_command_packet(
     state: RobotState, watchdog: bool, dac_values: Sequence[int]
 ) -> bytes:
@@ -82,14 +122,10 @@ def encode_command_packet(
     PacketError
         If a DAC value does not fit in a signed 16-bit field.
     """
-    if len(dac_values) > constants.USB_NUM_CHANNELS:
-        raise PacketError(f"at most {constants.USB_NUM_CHANNELS} DAC channels")
+    values = check_dac_values(dac_values)
     payload = bytearray(COMMAND_PACKET_SIZE)
     payload[constants.USB_STATE_BYTE] = _state_byte(state, watchdog)
-    for channel, value in enumerate(dac_values):
-        value = int(value)
-        if not (_INT16_MIN <= value <= _INT16_MAX):
-            raise PacketError(f"DAC value {value} out of int16 range")
+    for channel, value in enumerate(values):
         offset = constants.USB_DAC_OFFSET + 2 * channel
         payload[offset : offset + 2] = value.to_bytes(2, "big", signed=True)
     payload[constants.USB_CHECKSUM_OFFSET] = _checksum(

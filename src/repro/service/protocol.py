@@ -27,7 +27,7 @@ from repro.core.detector import FusionRule
 from repro.core.mitigation import MitigationStrategy
 from repro.core.pipeline import SupervisorConfig
 from repro.core.thresholds import SafetyThresholds
-from repro.errors import ProtocolError
+from repro.errors import PacketError, ProtocolError
 from repro.fleet.session import SessionSpec, TelemetryFrame
 from repro.fleet.store import canonical_payload
 from repro.service.config import DEFAULT_MAX_FRAME_BYTES
@@ -207,7 +207,10 @@ def frame_from_wire(obj: Any) -> TelemetryFrame:
     pedal_down = _field(obj, "pedal_down", bool)
     mpos_raw = obj.get("mpos")
     mpos = None if mpos_raw is None else _triple(obj, "mpos", float)
-    return TelemetryFrame(tick=tick, dac=dac, pedal_down=pedal_down, mpos=mpos)
+    try:
+        return TelemetryFrame(tick=tick, dac=dac, pedal_down=pedal_down, mpos=mpos)
+    except PacketError as exc:  # a DAC no command packet can carry
+        raise ProtocolError(f"field 'dac': {exc}") from exc
 
 
 # -- SessionSpec codec -----------------------------------------------------------

@@ -568,6 +568,63 @@ class TestLaneCheckpointParity:
             assert r_batched.alert[0] == r_scalar0.alert
         assert restored_batched.lane_state(0) == scalars[0].snapshot()
 
+    def test_per_lane_fusion_and_windows_match_scalars(self):
+        """Fusion rule and decision window are per lane: each lane of one
+        batched detector decides like its own scalar detector, through
+        masked rounds, a lane-state round trip and a lane removal."""
+        configs = [
+            (FusionRule.ALL, None),
+            (FusionRule.MAJORITY, (2, 3)),
+            (FusionRule.ANY, (3, 5)),
+            (FusionRule.ANY, None),
+            (FusionRule.ALL, (1, 1)),
+            (FusionRule.MAJORITY, None),
+        ]
+
+        def build():
+            return [
+                AnomalyDetector(self.THRESHOLDS, fusion, decision_window=window)
+                for fusion, window in configs
+            ]
+
+        scalars = build()
+        batched = BatchedAnomalyDetector.from_detectors(build())
+        rng = np.random.default_rng(7)
+        limits = np.array([1.0, 10.0, 1.0])
+
+        def step(lanes):
+            # Each group independently near its limit, so groups disagree.
+            rows = rng.uniform(0.5, 1.5, size=(len(scalars), 3)) * limits
+            mask = rng.random(len(scalars)) < 0.8
+            estimate = BatchedStateEstimate(
+                motor_velocity=np.tile(rows[:, :1], 3),
+                motor_acceleration=np.tile(rows[:, 1:2], 3),
+                joint_velocity=np.tile(rows[:, 2:], 3),
+                jpos_next=np.zeros((len(scalars), 3)),
+                jvel_next=np.zeros((len(scalars), 3)),
+                elapsed_s=0.0,
+            )
+            result = batched.evaluate(estimate, mask)
+            for lane in np.nonzero(mask)[0]:
+                want = lanes[lane].evaluate(estimate.lane(lane))
+                assert result.lane(lane) == want
+
+        for _ in range(40):
+            step(scalars)
+        for lane, scalar in enumerate(scalars):
+            assert batched.lane_state(lane) == scalar.snapshot()
+
+        reloaded = BatchedAnomalyDetector.from_detectors(build())
+        for lane, scalar in enumerate(scalars):
+            reloaded.load_lane_state(lane, scalar.snapshot())
+        batched = reloaded
+        batched.remove_lanes([1, 3])
+        del scalars[3], scalars[1]
+        for _ in range(40):
+            step(scalars)
+        for lane, scalar in enumerate(scalars):
+            assert batched.lane_state(lane) == scalar.snapshot()
+
     def test_detector_window_mismatch_is_rejected(self):
         batched = BatchedAnomalyDetector.from_detectors(self.build_scalars(2))
         bad = batched.lane_state(0)

@@ -15,12 +15,25 @@ The fail-operational contract under test:
 
 from __future__ import annotations
 
+from hashlib import sha256
+from json import dumps
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.detector import FusionRule
+from repro.core.mitigation import MitigationStrategy
 from repro.core.thresholds import SafetyThresholds
-from repro.errors import FleetError, SessionStoreError, SnapshotIntegrityError
+from repro.errors import (
+    FleetError,
+    PacketError,
+    SessionStoreError,
+    SnapshotIntegrityError,
+)
 from repro.experiments.fleet import (
+    NOMINAL_THRESHOLDS,
     frame_for,
     frames_from_trace,
     run_fleet_campaign,
@@ -37,7 +50,7 @@ from repro.fleet import (
     SqliteSessionStore,
     TelemetryFrame,
 )
-from repro.obs.runtime import ENV_DIR, ENV_ENABLE, reset_runtime
+from repro.obs.runtime import ENV_DIR, ENV_ENABLE, get_runtime, reset_runtime
 from repro.testing import ChaosInjector, FaultPlan, FaultSpec
 
 pytestmark = [pytest.mark.fleet, pytest.mark.robustness]
@@ -248,7 +261,7 @@ class TestQuarantineDifferential:
         class _Bomb(Exception):
             pass
 
-        def explode(estimate):
+        def explode(alert):
             raise _Bomb("detector hardware fault")
 
         reports = []
@@ -258,7 +271,9 @@ class TestQuarantineDifferential:
                 if not fleet.sessions[sid].quarantined:
                     fleet.ingest(sid, frame_for(5, i, tick))
             if tick == 15:
-                fleet.sessions[session_id(1)].supervisor.guard.detector.evaluate = (
+                # The per-lane step every evaluated lane runs after the
+                # pack's batched detector pass.
+                fleet.sessions[session_id(1)].supervisor.guard._record_verdict = (
                     explode
                 )
             reports.append(fleet.tick(tick))
@@ -492,6 +507,300 @@ class TestDrain:
         fleet.tick(0)
         fleet.quarantine("a", "pulled")
         assert fleet.drain() == ["b"]
+
+
+def tuned_thresholds(scale: float) -> SafetyThresholds:
+    """``scale`` times the thresholds at which each alarm group fires on
+    about half of the :func:`frame_for` frames, so fusion rules and
+    decision windows change the verdicts."""
+    return SafetyThresholds(
+        motor_velocity=np.asarray(NOMINAL_THRESHOLDS.motor_velocity) * 0.015 * scale,
+        motor_acceleration=(
+            np.asarray(NOMINAL_THRESHOLDS.motor_acceleration) * 0.005 * scale
+        ),
+        joint_velocity=np.asarray(NOMINAL_THRESHOLDS.joint_velocity) * 0.0015 * scale,
+    )
+
+
+def heterogeneous_specs():
+    """Every fusion rule with every decision-window shape, under mixed
+    strategies and thresholds."""
+    fusions = [FusionRule.ALL, FusionRule.MAJORITY, FusionRule.ANY]
+    windows = [(2, 3), (3, 5), None]
+    strategies = list(MitigationStrategy)
+    scales = [0.9, 1.0, 1.1]
+    return [
+        SessionSpec(
+            session_id=session_id(i),
+            thresholds=tuned_thresholds(scales[(2 * i + i // 3) % 3]),
+            fusion=fusions[i % 3],
+            decision_window=windows[i // 3],
+            strategy=strategies[(i + i // 3) % 3],
+        )
+        for i in range(9)
+    ]
+
+
+def run_fleet(specs, streams, cfg, store=None, ticks=None, fleet=None):
+    """Feed ``streams[i]`` to ``specs[i]``, one frame per tick."""
+    if fleet is None:
+        fleet = FleetSupervisor(store=store, config=cfg)
+        for s in specs:
+            fleet.register(s)
+    for tick in ticks if ticks is not None else range(len(streams[0])):
+        for s, stream in zip(specs, streams):
+            if not fleet.sessions[s.session_id].quarantined:
+                assert fleet.ingest(s.session_id, stream[tick])
+        fleet.tick(tick)
+    return fleet
+
+
+def run_scalar(session_spec, frames, cfg) -> dict:
+    """One session driven through its scalar guard, with no lane pack: the
+    inline estimate/detect/mitigate path the batched pass must match."""
+    session = FleetSession(session_spec, cfg)
+    stats = session.supervisor.stats
+    for frame in frames:
+        session.supervisor.tick_cycle(frame.tick)
+        evaluated, alerts = stats.packets_evaluated, stats.alerts
+        allowed = session.supervisor.process(frame.to_packet(), frame.mpos_array())
+        session.frames_processed += 1
+        session.record_decision(
+            frame.tick,
+            frame,
+            allowed,
+            stats.packets_evaluated > evaluated,
+            stats.alerts > alerts,
+        )
+    return session.fingerprint()
+
+
+class TestBatchedVerdict:
+    """The pack decides every lane in one batched detector pass; each
+    session must still decide exactly as its scalar guard would."""
+
+    TICKS = 90
+
+    def streams(self, count: int):
+        return [
+            [frame_for(4, i, t) for t in range(self.TICKS)] for i in range(count)
+        ]
+
+    def test_heterogeneous_fleet_matches_each_session_alone(self):
+        cfg = FleetConfig(checkpoint_every=16)
+        specs = heterogeneous_specs()
+        streams = self.streams(len(specs))
+        fps = run_fleet(specs, streams, cfg).fingerprints()
+        for s, stream in zip(specs, streams):
+            alone = run_fleet([s], [stream], cfg).fingerprints()[s.session_id]
+            assert fps[s.session_id] == alone
+            assert fps[s.session_id] == run_scalar(s, stream, cfg)
+        # The configurations really disagree: some sessions alert and some
+        # do not, at different rates, and some are blocked into E-STOP.
+        alerts = [fps[s.session_id]["stats"]["alerts"] for s in specs]
+        assert 0 < sum(count > 0 for count in alerts) < len(alerts)
+        assert len(set(alerts)) > 3
+        assert any(fp["estopped"] for fp in fps.values())
+
+    def test_detector_telemetry_matches_the_scalar_guard(self, monkeypatch, tmp_path):
+        """With REPRO_OBS on, the batched pass records the same detector
+        evaluations, alerts and margin histogram as scalar guards."""
+        monkeypatch.setenv(ENV_ENABLE, "1")
+        monkeypatch.setenv(ENV_DIR, str(tmp_path))
+        cfg = FleetConfig(checkpoint_every=16)
+        specs = heterogeneous_specs()
+        streams = self.streams(len(specs))
+
+        def detector_metrics(run):
+            reset_runtime()
+            run()
+            return get_runtime().registry.snapshot("repro_detector_")
+
+        try:
+            batched = detector_metrics(lambda: run_fleet(specs, streams, cfg))
+            scalar = detector_metrics(
+                lambda: [run_scalar(s, stream, cfg) for s, stream in zip(specs, streams)]
+            )
+        finally:
+            reset_runtime()
+        assert batched["repro_detector_evaluations_total"]["value"] > 0
+        # Observations arrive in a different order, so only the float sum
+        # of the margin histogram may differ, and only in rounding.
+        margin_sum = batched["repro_detector_margin_ratio"].pop("sum")
+        mean = batched["repro_detector_margin_ratio"].pop("mean")
+        assert margin_sum == pytest.approx(scalar["repro_detector_margin_ratio"].pop("sum"))
+        assert mean == pytest.approx(scalar["repro_detector_margin_ratio"].pop("mean"))
+        assert batched == scalar
+
+    def test_heterogeneous_fleet_resumes_bit_identically(self, store):
+        cfg = FleetConfig(checkpoint_every=1000)
+        specs = heterogeneous_specs()
+        streams = self.streams(len(specs))
+        base = run_fleet(specs, streams, cfg).fingerprints()
+
+        first = run_fleet(specs, streams, cfg, store=store, ticks=range(40))
+        first.drain()
+        second = FleetSupervisor(store=store, config=cfg)
+        for s in specs:
+            second.resume(s)
+        run_fleet(specs, streams, cfg, ticks=range(40, self.TICKS), fleet=second)
+        assert second.fingerprints() == base
+
+    def test_window_lanes_survive_a_quarantine(self):
+        cfg = FleetConfig(checkpoint_every=16)
+        specs = heterogeneous_specs()
+        streams = self.streams(len(specs))
+        base = run_fleet(specs, streams, cfg).fingerprints()
+        fleet = run_fleet(specs, streams, cfg, ticks=range(30))
+        fleet.quarantine(session_id(4), "operator pulled the plug")
+        run_fleet(specs, streams, cfg, ticks=range(30, self.TICKS), fleet=fleet)
+        fps = fleet.fingerprints()
+        for s in specs:
+            if s.session_id != session_id(4):
+                assert fps[s.session_id] == base[s.session_id]
+
+    def test_scenario_b_stream_blocks_and_estops_like_the_scalar_guard(self):
+        from repro.sim.runner import run_scenario_b
+
+        # Recorded attack telemetry: the replayed stream hands the attacked
+        # DAC to the model too, so the envelope is tightened to keep the
+        # detector firing once the injection starts.
+        thresholds = SafetyThresholds(
+            motor_velocity=np.array([1.5, 1.5, 0.8]),
+            motor_acceleration=np.array([120.0, 120.0, 90.0]),
+            joint_velocity=np.array([0.05, 0.05, 0.01]),
+        )
+        frames = frames_from_trace(
+            run_scenario_b(
+                seed=11,
+                error_dac=12000,
+                period_ms=300,
+                duration_s=0.6,
+                raven_safety_enabled=False,
+                attack_delay_cycles=100,
+            ).trace
+        )
+        specs = [
+            SessionSpec(
+                session_id=f"attacked-{strategy.value}",
+                thresholds=thresholds,
+                strategy=strategy,
+            )
+            for strategy in MitigationStrategy
+        ]
+        cfg = FleetConfig(checkpoint_every=16)
+        fps = run_fleet(specs, [frames] * len(specs), cfg).fingerprints()
+        for s in specs:
+            assert fps[s.session_id] == run_scalar(s, frames, cfg)
+        monitor, block, estop = (fps[s.session_id] for s in specs)
+        assert monitor["stats"]["alerts"] > 0
+        assert monitor["stats"]["blocked"] == 0 and not monitor["estopped"]
+        # BLOCK escalates once the blocked run persists; BLOCK_AND_ESTOP
+        # latches on the first alert.
+        assert block["stats"]["blocked"] > 0 and block["estopped"]
+        assert estop["stats"]["blocked"] > 0 and estop["estopped"]
+
+
+class TestMalformedFrames:
+    def test_out_of_int16_dac_is_rejected_when_the_frame_is_built(self):
+        with pytest.raises(PacketError, match="out of int16 range"):
+            TelemetryFrame(tick=0, dac=(40000, 0, 0))
+        with pytest.raises(PacketError, match="out of int16 range"):
+            TelemetryFrame(tick=0, dac=(0, -32769, 0))
+
+    def test_one_tenants_bad_frame_leaves_the_others_deciding(self):
+        cfg = FleetConfig(checkpoint_every=8)
+        base = run_fleet_campaign(num_sessions=3, ticks=20, seed=5, config=cfg)
+        fleet = FleetSupervisor(config=cfg)
+        for i in range(3):
+            fleet.register(spec(session_id(i)))
+        for tick in range(20):
+            for i in range(3):
+                if i == 1 and tick == 7:
+                    # The tenant's frame never exists, so no tick sees it.
+                    with pytest.raises(PacketError):
+                        TelemetryFrame(tick=tick, dac=(40000, 0, 0))
+                fleet.ingest(session_id(i), frame_for(5, i, tick))
+            fleet.tick(tick)
+        fps = fleet.fingerprints()
+        assert fps == base.fingerprints
+        assert all(fp["decisions"] == 20 for fp in fps.values())
+        assert not any(s.quarantined for s in fleet.sessions.values())
+
+
+class TestPackCompatibility:
+    def test_a_spec_the_pack_cannot_batch_is_refused_at_registration(self):
+        cfg = FleetConfig(checkpoint_every=8)
+        base = run_fleet_campaign(num_sessions=3, ticks=20, seed=5, config=cfg)
+        fleet = FleetSupervisor(config=cfg)
+        for i in range(3):
+            fleet.register(spec(session_id(i)))
+        for tick in range(20):
+            if tick == 7:
+                with pytest.raises(FleetError, match="integrator 'rk4'"):
+                    fleet.register(spec("rk4-tenant", integrator="rk4"))
+                assert "rk4-tenant" not in fleet.sessions
+            for i in range(3):
+                fleet.ingest(session_id(i), frame_for(5, i, tick))
+            report = fleet.tick(tick)
+            assert report.frames_processed == 3 and report.quarantined == []
+        fps = fleet.fingerprints()
+        assert fps == base.fingerprints
+        assert all(fp["decisions"] == 20 for fp in fps.values())
+
+    def test_any_integrator_may_start_a_fleet(self):
+        fleet = FleetSupervisor(config=FleetConfig())
+        fleet.register(spec("a", integrator="rk4"))
+        fleet.register(spec("b", integrator="rk4"))
+        with pytest.raises(FleetError, match="integrator 'euler'"):
+            fleet.register(spec("c"))
+        for tick in range(3):
+            for sid in ("a", "b"):
+                fleet.ingest(sid, nominal_frame(tick))
+            fleet.tick(tick)
+        assert [fp["decisions"] for fp in fleet.fingerprints().values()] == [3, 3]
+
+
+class TestCanonicalRecord:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        tick=st.integers(min_value=-(2**70), max_value=2**70),
+        dac=st.lists(st.integers(min_value=-(2**15), max_value=2**15 - 1), max_size=8),
+        flags=st.lists(st.booleans(), min_size=5, max_size=5),
+        health=st.text(),
+    )
+    def test_chain_link_hashes_the_json_dumps_bytes(self, tick, dac, flags, health):
+        pedal_down, had_mpos, allowed, evaluated, alert = flags
+        session = FleetSession(spec("s"), FleetConfig())
+        frame = TelemetryFrame(
+            tick=tick,
+            dac=tuple(dac),
+            pedal_down=pedal_down,
+            mpos=(0.0, 0.0, 0.0) if had_mpos else None,
+        )
+        prev = session.digest
+        session.record_decision(tick, frame, allowed, evaluated, alert, health=health)
+        record = session.recent[-1]
+        assert record == {
+            "tick": tick,
+            "dac": dac,
+            "pedal_down": pedal_down,
+            "had_mpos": had_mpos,
+            "allowed": allowed,
+            "evaluated": evaluated,
+            "alert": alert,
+            "health": health,
+        }
+        encoded = dumps(record, sort_keys=True, separators=(",", ":"))
+        assert session.digest == sha256((prev + encoded).encode("utf-8")).hexdigest()
+
+    def test_frame_stores_int_dacs_and_a_bool_pedal(self):
+        frame = TelemetryFrame(
+            tick=0, dac=[np.int16(5), np.int64(-2), 3], pedal_down=np.bool_(False)
+        )
+        assert frame.dac == (5, -2, 3)
+        assert [type(v) for v in frame.dac] == [int, int, int]
+        assert frame.pedal_down is False
 
 
 class TestSimBridge:

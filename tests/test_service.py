@@ -27,7 +27,12 @@ import struct
 import pytest
 
 from repro.errors import ProtocolError, ServiceError
-from repro.experiments.fleet import frame_for, session_id
+from repro.experiments.fleet import (
+    NOMINAL_THRESHOLDS,
+    frame_for,
+    run_fleet_campaign,
+    session_id,
+)
 from repro.experiments.service import (
     run_inprocess_reference,
     run_service_campaign,
@@ -360,6 +365,78 @@ class TestWorkerLoopback:
             "r", InMemorySessionStore(), config=_service_config()
         )
         assert b"405" in render(worker, "POST", "/healthz").split(b"\r\n")[0]
+
+    def test_out_of_range_dac_is_a_protocol_error_not_a_lost_tick(self):
+        """A tenant's frame with a DAC no command packet can carry is
+        refused at the wire boundary; the shard's tick still decides every
+        other frame, byte-identically to an in-process run."""
+        ticks, cfg = 12, FleetConfig(checkpoint_every=8)
+        base = run_fleet_campaign(num_sessions=3, ticks=ticks, seed=_SEED, config=cfg)
+        bad = {"tick": 5, "dac": [40000, 0, 0], "pedal_down": True, "mpos": None}
+        with pytest.raises(ProtocolError, match="out of int16 range"):
+            frame_from_wire(bad)
+
+        async def body(worker):
+            client = await ServiceClient("127.0.0.1", worker.port).connect()
+            try:
+                sids = [
+                    await client.register(_spec(session_id(i), NOMINAL_THRESHOLDS))
+                    for i in range(3)
+                ]
+                for tick in range(ticks):
+                    if tick == 5:
+                        with pytest.raises(RemoteOpError) as err:
+                            await client.call("ingest", session_id=sids[1], frame=bad)
+                        assert err.value.kind == "ProtocolError"
+                    for i, sid in enumerate(sids):
+                        assert await client.ingest(sid, frame_for(_SEED, i, tick))
+                    ticked = await client.tick(tick)
+                    assert ticked["report"]["frames_processed"] == 3
+                    assert ticked["report"]["quarantined"] == []
+                return await client.fingerprints(), list(worker.faults)
+            finally:
+                await client.close()
+
+        fingerprints, faults = asyncio.run(_with_worker(body, fleet_config=cfg))
+        assert fingerprints == base.fingerprints
+        assert faults == []
+
+    def test_unpackable_spec_is_refused_and_the_shard_keeps_deciding(self):
+        """A tenant whose spec the lane pack cannot batch (another
+        integrator) is refused by ``register``; the shard's other sessions
+        decide every frame, byte-identically to an in-process run."""
+        ticks, cfg = 12, FleetConfig(checkpoint_every=8)
+        base = run_fleet_campaign(num_sessions=3, ticks=ticks, seed=_SEED, config=cfg)
+
+        async def body(worker):
+            client = await ServiceClient("127.0.0.1", worker.port).connect()
+            try:
+                sids = [
+                    await client.register(_spec(session_id(i), NOMINAL_THRESHOLDS))
+                    for i in range(3)
+                ]
+                for tick in range(ticks):
+                    if tick == 5:
+                        rk4 = SessionSpec(
+                            session_id="rk4-tenant",
+                            thresholds=NOMINAL_THRESHOLDS,
+                            integrator="rk4",
+                        )
+                        with pytest.raises(RemoteOpError) as err:
+                            await client.register(rk4)
+                        assert err.value.kind == "FleetError"
+                    for i, sid in enumerate(sids):
+                        assert await client.ingest(sid, frame_for(_SEED, i, tick))
+                    ticked = await client.tick(tick)
+                    assert ticked["report"]["frames_processed"] == 3
+                    assert ticked["report"]["quarantined"] == []
+                return await client.fingerprints(), list(worker.faults)
+            finally:
+                await client.close()
+
+        fingerprints, faults = asyncio.run(_with_worker(body, fleet_config=cfg))
+        assert fingerprints == base.fingerprints
+        assert len(faults) == 1 and "integrator 'rk4'" in faults[0]
 
     def test_stop_drains_every_session(self, loose_thresholds):
         store = InMemorySessionStore()

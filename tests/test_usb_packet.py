@@ -1,6 +1,8 @@
 """Tests for repro.hw.usb_packet."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import constants
 from repro.control.state_machine import RobotState
@@ -8,6 +10,7 @@ from repro.errors import PacketError
 from repro.hw.usb_packet import (
     COMMAND_PACKET_SIZE,
     FEEDBACK_PACKET_SIZE,
+    command_packet,
     decode_command_packet,
     decode_feedback_packet,
     encode_command_packet,
@@ -96,3 +99,42 @@ class TestFeedbackPackets:
         data = bytearray(encode_feedback_packet(RobotState.INIT, False, [5]))
         data[3] ^= 0x10
         assert not decode_feedback_packet(bytes(data)).checksum_ok
+
+
+def _outcome(build):
+    try:
+        return build()
+    except PacketError as exc:
+        return ("PacketError", str(exc))
+
+
+class TestDirectCommandPacket:
+    """``command_packet`` is the encode/decode round trip without bytes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        state=st.sampled_from(list(RobotState)),
+        watchdog=st.booleans(),
+        dac=st.lists(
+            st.integers(min_value=-(1 << 15), max_value=(1 << 15) - 1),
+            max_size=constants.USB_NUM_CHANNELS,
+        ),
+    )
+    def test_equals_the_round_trip(self, state, watchdog, dac):
+        expected = decode_command_packet(encode_command_packet(state, watchdog, dac))
+        assert command_packet(state, watchdog, dac) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        state=st.sampled_from(list(RobotState)),
+        dac=st.lists(
+            st.integers(min_value=-(1 << 17), max_value=1 << 17),
+            max_size=constants.USB_NUM_CHANNELS + 2,
+        ),
+    )
+    def test_raises_exactly_where_the_round_trip_does(self, state, dac):
+        direct = _outcome(lambda: command_packet(state, True, dac))
+        round_trip = _outcome(
+            lambda: decode_command_packet(encode_command_packet(state, True, dac))
+        )
+        assert direct == round_trip
