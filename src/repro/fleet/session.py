@@ -242,7 +242,8 @@ class FleetSession:
         evaluated: bool,
         alert: bool,
         health: Optional[str] = None,
-    ) -> None:
+    ) -> Dict[str, Any]:
+        """Chain one decision; returns its record."""
         if health is None:
             health = self.health
         dac = list(frame.dac)
@@ -272,6 +273,7 @@ class FleetSession:
         self.digest = _chain_digest(self.digest, encoded)
         self.decisions += 1
         self.recent.append(record)
+        return record
 
     def fingerprint(self) -> Dict[str, Any]:
         """Comparable identity of this session's entire history."""

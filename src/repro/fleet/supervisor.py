@@ -251,6 +251,9 @@ class TickReport:
     quarantined: List[Tuple[str, str]] = field(default_factory=list)
     killed: List[Tuple[str, int]] = field(default_factory=list)
     checkpointed: List[str] = field(default_factory=list)
+    #: ``(session_id, record)`` for every decision this tick produced, in
+    #: chain order (unbounded, unlike each session's ``recent`` ring).
+    decisions: List[Tuple[str, Dict[str, Any]]] = field(default_factory=list)
 
 
 class FleetSupervisor:
@@ -433,7 +436,7 @@ class FleetSupervisor:
                 continue
             while session.queue:
                 frame = session.queue.popleft()
-                self._process_frame(session, frame)
+                self._process_frame(session, frame, report)
                 report.frames_processed += 1
 
         # Batched evaluation + per-lane verdict dispatch.
@@ -444,7 +447,7 @@ class FleetSupervisor:
             for lane, allowed, evaluated, alert in decisions:
                 session = lanes[lane]
                 pending = session.pending.popleft()
-                session.record_decision(
+                record = session.record_decision(
                     pending.tick,
                     pending.frame,
                     allowed,
@@ -452,6 +455,7 @@ class FleetSupervisor:
                     alert,
                     health=pending.health,
                 )
+                report.decisions.append((session.session_id, record))
             for lane, exc in faults:
                 session = lanes[lane]
                 session.pending.clear()
@@ -469,7 +473,9 @@ class FleetSupervisor:
         self._update_gauges()
         return report
 
-    def _process_frame(self, session: FleetSession, frame: TelemetryFrame) -> None:
+    def _process_frame(
+        self, session: FleetSession, frame: TelemetryFrame, report: TickReport
+    ) -> None:
         """Run one frame through the session's supervisor.
 
         Decisions that defer into the pack are recorded after finalize;
@@ -495,9 +501,10 @@ class FleetSupervisor:
                 )
             )
         else:
-            session.record_decision(
+            record = session.record_decision(
                 frame.tick, frame, allowed, evaluated=False, alert=False
             )
+            report.decisions.append((session.session_id, record))
 
     # -- chaos -------------------------------------------------------------------
 

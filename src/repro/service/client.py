@@ -2,10 +2,12 @@
 
 Thin request-response wrapper over :mod:`repro.service.protocol`: every
 call writes one framed request and awaits its response on the same
-connection.  :meth:`ServiceClient.pipeline` writes a whole batch before
-reading any response — the frontend uses it to push one tick's frames
-plus the tick itself to a worker in a single round trip, which is where
-the service throughput comes from.
+connection.  :meth:`ServiceClient.tick` is the frontend's round: one
+``tick`` request carries the round's frames for every session on the
+worker, and its response carries the ingest verdicts, the tick report
+and the decision records, so a round costs one message each way.
+:meth:`ServiceClient.pipeline` writes a whole batch of requests before
+reading any response; every call goes through it.
 
 Transport failures (refused, reset, EOF mid-conversation) surface as
 :class:`~repro.errors.WorkerUnavailableError` — the frontend's trigger
@@ -17,7 +19,7 @@ name, so callers can tell a resume miss from a protocol breach.
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import ProtocolError, ServiceError, WorkerUnavailableError
 from repro.fleet.session import SessionSpec, TelemetryFrame
@@ -151,8 +153,12 @@ class ServiceClient:
         )
         return bool(response["accepted"])
 
-    async def tick(self, tick: int) -> Dict[str, Any]:
-        return await self.call("tick", tick=tick)
+    async def tick(
+        self, tick: int, frames: Optional[Mapping[str, TelemetryFrame]] = None
+    ) -> Dict[str, Any]:
+        """One round: ingest ``frames`` (session id → frame), then tick."""
+        wire = {sid: frame_to_wire(frame) for sid, frame in (frames or {}).items()}
+        return await self.call("tick", tick=tick, frames=wire)
 
     async def checkpoint(self, session_id: str, tick: int) -> int:
         response = await self.call(

@@ -14,11 +14,13 @@ the newest verifiable checkpoint and tells the caller where each
 session's telemetry cursor must rewind to — the same recovery protocol
 :func:`repro.experiments.fleet.run_fleet_campaign` follows in-process.
 
-Each tick, the frontend pushes every worker its sessions' frames *plus*
-the tick advance as one pipelined batch (one round trip per worker per
-tick), awaiting the workers concurrently.  Within a worker the batch is
-processed strictly in order, so per-session decision chains stay exactly
-the chains an in-process supervisor would produce.
+Each round is one request and one response per worker: a ``tick``
+message carrying that worker's sessions' frames, answered with the
+per-session ingest verdicts, the tick report and the round's decision
+records.  The workers are awaited concurrently.  A worker ingests the
+round's frames in sorted session order before it ticks, so per-session
+decision chains stay exactly the chains an in-process supervisor would
+produce.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from repro.errors import ServiceError, WorkerUnavailableError
 from repro.fleet.session import SessionSpec, TelemetryFrame
 from repro.obs.runtime import get_runtime
 from repro.service.client import RemoteOpError, ServiceClient
-from repro.service.protocol import frame_to_wire
 
 
 def shard_for(session_id: str, workers: List[str]) -> str:
@@ -103,7 +104,7 @@ class ServiceFrontend:
     async def run_tick(
         self, tick: int, frames: Dict[str, TelemetryFrame]
     ) -> TickOutcome:
-        """Push one tick: each worker gets its frames + the tick advance.
+        """Push one round: one ``tick`` request per worker, carrying its frames.
 
         Every live worker is ticked even when it has no frames this round
         (staleness watchdogs are tick-driven).  A worker whose connection
@@ -113,22 +114,18 @@ class ServiceFrontend:
         dropped (they are part of what the replay re-delivers).
         """
         outcome = TickOutcome(tick=tick)
-        batches: Dict[str, List[Any]] = {name: [] for name in self.workers}
-        frame_order: Dict[str, List[str]] = {name: [] for name in self.workers}
-        for sid in sorted(frames):
+        rounds: Dict[str, Dict[str, TelemetryFrame]] = {
+            name: {} for name in self.workers
+        }
+        for sid, frame in frames.items():
             owner = self.owners.get(sid)
-            if owner is None or owner not in batches:
+            if owner is None or owner not in rounds:
                 raise ServiceError(f"session {sid!r} has no live owner")
-            batches[owner].append(
-                ("ingest", {"session_id": sid, "frame": frame_to_wire(frames[sid])})
-            )
-            frame_order[owner].append(sid)
-        for name in batches:
-            batches[name].append(("tick", {"tick": tick}))
+            rounds[owner][sid] = frame
 
-        names = sorted(batches)
+        names = sorted(rounds)
         results = await asyncio.gather(
-            *(self.workers[name].pipeline(batches[name]) for name in names),
+            *(self.workers[name].tick(tick, rounds[name]) for name in names),
             return_exceptions=True,
         )
         dead: List[str] = []
@@ -138,12 +135,9 @@ class ServiceFrontend:
                 continue
             if isinstance(result, BaseException):
                 raise result
-            *ingests, ticked = result
-            for sid, response in zip(frame_order[name], ingests):
-                outcome.accepted[sid] = bool(response["accepted"])
-            outcome.reports[name] = ticked["report"]
-            for sid, records in ticked["decisions"].items():
-                outcome.decisions[sid] = records
+            outcome.accepted.update(result["accepted"])
+            outcome.reports[name] = result["report"]
+            outcome.decisions.update(result["decisions"])
 
         for name in dead:
             self._obs.log_event("svc_worker_dead", worker=name, tick=tick)

@@ -9,7 +9,7 @@ the in-process supervisor consumes, so decision hash chains computed over
 the wire are *byte-identical* to in-process runs — the differential
 golden in ``tests/test_service.py`` holds the protocol to that.
 
-Requests carry ``{"v": 1, "id": <seq>, "op": <name>, ...}``; responses
+Requests carry ``{"v": 2, "id": <seq>, "op": <name>, ...}``; responses
 echo ``id`` and carry ``ok`` plus op-specific fields (or ``error`` when
 ``ok`` is false).  Anything malformed — bad prefix, oversized payload,
 non-JSON bytes, wrong version, missing/mistyped fields — raises
@@ -33,8 +33,9 @@ from repro.fleet.store import canonical_payload
 from repro.service.config import DEFAULT_MAX_FRAME_BYTES
 
 #: Wire schema version.  A peer speaking a different version is rejected
-#: before any state is touched.
-PROTOCOL_VERSION = 1
+#: before any state is touched.  v2: a ``tick`` request carries the
+#: round's ``frames`` and its response the per-session ``accepted``.
+PROTOCOL_VERSION = 2
 
 _PREFIX = struct.Struct(">I")
 

@@ -28,7 +28,7 @@ import asyncio
 import signal
 from typing import Any, Dict, List, Optional
 
-from repro.errors import ProtocolError
+from repro.errors import FleetError, ProtocolError
 from repro.fleet.config import FleetConfig
 from repro.fleet.store import SessionStore
 from repro.fleet.supervisor import FleetSupervisor, TickReport
@@ -230,28 +230,42 @@ class ServiceWorker:
         return {"accepted": accepted}
 
     def _op_tick(self, message: Dict[str, Any]) -> Dict[str, Any]:
+        """One round: ingest the round's frames, then advance the tick.
+
+        The whole round is validated before any state is touched: an
+        unknown session id or a malformed frame refuses it whole, with
+        nothing ingested and no tick.  Frames are ingested in sorted
+        session order, so the chains do not depend on the order the
+        sender listed them in.
+        """
         tick = message.get("tick")
         if not isinstance(tick, int) or isinstance(tick, bool):
             raise ProtocolError("tick requires an integer tick number")
-        before = {
-            sid: session.decisions
-            for sid, session in self.fleet.sessions.items()
-        }
+        wire_frames = message.get("frames", {})
+        if not isinstance(wire_frames, dict):
+            raise ProtocolError("tick frames must be an object")
+        unknown = sorted(set(wire_frames) - set(self.fleet.sessions))
+        if unknown:
+            raise FleetError(f"unknown session(s) {unknown}")
+        frames = [
+            (sid, frame_from_wire(wire_frames[sid])) for sid in sorted(wire_frames)
+        ]
+        accepted = {sid: self.fleet.ingest(sid, frame) for sid, frame in frames}
         report = self.fleet.tick(tick)
         decisions: Dict[str, List[Dict[str, Any]]] = {}
-        for sid in sorted(self.fleet.sessions):
-            session = self.fleet.sessions[sid]
-            delta = session.decisions - before.get(sid, 0)
-            if delta <= 0:
-                continue
-            recent = list(session.recent)
-            decisions[sid] = recent[-delta:] if delta <= len(recent) else recent
+        for sid, record in report.decisions:
+            decisions.setdefault(sid, []).append(record)
+        for sid, records in decisions.items():
             self.tenant_decisions[sid] = (
-                self.tenant_decisions.get(sid, 0) + delta
+                self.tenant_decisions.get(sid, 0) + len(records)
             )
             if self._obs.enabled:
-                self._tenant_counter(sid).inc(delta)
-        return {"report": _report_to_wire(report), "decisions": decisions}
+                self._tenant_counter(sid).inc(len(records))
+        return {
+            "report": _report_to_wire(report),
+            "decisions": decisions,
+            "accepted": accepted,
+        }
 
     def _op_checkpoint(self, message: Dict[str, Any]) -> Dict[str, Any]:
         session_id = message.get("session_id")

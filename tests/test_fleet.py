@@ -189,6 +189,24 @@ class TestBackpressure:
         with pytest.raises(FleetError, match="unknown session"):
             fleet.ingest("ghost", nominal_frame(0))
 
+    def test_tick_report_carries_every_record_past_the_recent_ring(self):
+        fleet = FleetSupervisor(config=FleetConfig(queue_depth=100))
+        fleet.register(spec("s"))
+        fleet.register(spec("t"))
+        for tick in range(100):
+            assert fleet.ingest("s", nominal_frame(tick))
+        assert fleet.ingest("t", nominal_frame(0))
+        report = fleet.tick(0)
+        session = fleet.sessions["s"]
+        assert report.frames_processed == 101
+        assert session.decisions == 100
+        assert len(session.recent) < 100  # the bounded flight-dump ring
+        records = [record for sid, record in report.decisions if sid == "s"]
+        assert [r["tick"] for r in records] == list(range(100))
+        assert records[-len(session.recent):] == list(session.recent)
+        assert [sid for sid, _ in report.decisions].count("t") == 1
+        assert fleet.tick(1).decisions == []
+
     def test_registration_cap(self):
         fleet = FleetSupervisor(config=FleetConfig(max_sessions=1))
         fleet.register(spec("a"))

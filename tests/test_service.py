@@ -52,6 +52,8 @@ from repro.service import (
     ServiceConfig,
     ServiceWorker,
     WorkerProcess,
+    connect_frontend,
+    protocol,
     shard_for,
 )
 from repro.service.http import render, start_http_server
@@ -474,6 +476,206 @@ class TestWorkerLoopback:
             session = resumed.resume(_spec(session_id(i), loose_thresholds))
             assert session.digest == digests[session_id(i)]
             assert session.frames_processed == 5
+
+
+# ---------------------------------------------------------------------------
+# The round message: one tick request per worker carries the round's frames
+# ---------------------------------------------------------------------------
+
+
+async def _with_frontend(body, workers=1, fleet_config=None):
+    """Run ``body(frontend, workers)`` against in-process workers."""
+    pool = [
+        ServiceWorker(
+            f"w{i}",
+            InMemorySessionStore(),
+            config=_service_config(),
+            fleet_config=fleet_config,
+        )
+        for i in range(workers)
+    ]
+    serves = []
+    for worker in pool:
+        await worker.start()
+        serves.append(asyncio.ensure_future(worker.serve_until_stopped()))
+    frontend = await connect_frontend(
+        {worker.name: ("127.0.0.1", worker.port) for worker in pool}
+    )
+    try:
+        return await body(frontend, pool)
+    finally:
+        await frontend.close()
+        for worker in pool:
+            worker.request_stop()
+        await asyncio.gather(*serves)
+
+
+class TestRoundMessage:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_message_per_live_worker_per_round(self, workers, monkeypatch):
+        ticks, cfg = 4, FleetConfig(checkpoint_every=8)
+        base = run_fleet_campaign(num_sessions=4, ticks=ticks, seed=_SEED, config=cfg)
+        encoded = []
+        real_encode = protocol.encode_message
+
+        def counting_encode(payload):
+            encoded.append(payload.get("op", "response"))
+            return real_encode(payload)
+
+        monkeypatch.setattr(protocol, "encode_message", counting_encode)
+
+        async def body(frontend, pool):
+            for i in range(4):
+                await frontend.register(_spec(session_id(i), NOMINAL_THRESHOLDS))
+            encoded.clear()
+            for tick in range(ticks):
+                frames = {
+                    session_id(i): frame_for(_SEED, i, tick) for i in range(4)
+                }
+                outcome = await frontend.run_tick(tick, frames)
+                assert outcome.accepted == {sid: True for sid in frames}
+                assert sorted(outcome.reports) == [w.name for w in pool]
+                assert {sid: len(r) for sid, r in outcome.decisions.items()} == {
+                    sid: 1 for sid in frames
+                }
+            rounds = list(encoded)
+            return rounds, await frontend.fingerprints()
+
+        rounds, fingerprints = asyncio.run(_with_frontend(body, workers, cfg))
+        # One request and one response per live worker per round; every
+        # live worker is ticked, even one that owns no session.
+        n = ticks * workers
+        assert sorted(rounds) == ["response"] * n + ["tick"] * n
+        assert fingerprints == base.fingerprints
+
+    @pytest.mark.parametrize(
+        "sid, wire, kind",
+        [
+            (
+                "rig-001",
+                {"tick": 5, "dac": [40000, 0, 0], "pedal_down": True, "mpos": None},
+                "ProtocolError",
+            ),
+            (
+                "rig-001",
+                {"tick": 5, "dac": [1, 2, 3], "pedal_down": True, "mpos": [0.1, 0.2]},
+                "ProtocolError",
+            ),
+            ("zz-ghost", frame_to_wire(_frame(5)), "FleetError"),
+        ],
+        ids=["dac-out-of-int16", "two-element-mpos", "unknown-session"],
+    )
+    def test_a_bad_round_is_refused_whole(self, sid, wire, kind):
+        ticks, cfg = 12, FleetConfig(checkpoint_every=8)
+        base = run_fleet_campaign(num_sessions=3, ticks=ticks, seed=_SEED, config=cfg)
+
+        async def body(worker):
+            client = await ServiceClient("127.0.0.1", worker.port).connect()
+            try:
+                sids = [
+                    await client.register(_spec(session_id(i), NOMINAL_THRESHOLDS))
+                    for i in range(3)
+                ]
+                for tick in range(ticks):
+                    frames = {
+                        s: frame_for(_SEED, i, tick) for i, s in enumerate(sids)
+                    }
+                    if tick == 5:
+                        bad = {s: frame_to_wire(f) for s, f in frames.items()}
+                        bad[sid] = wire
+                        before = await client.fingerprints()
+                        with pytest.raises(RemoteOpError) as err:
+                            await client.call("tick", tick=tick, frames=bad)
+                        assert err.value.kind == kind
+                        # Nothing ingested, no tick: the round never happened.
+                        assert await client.fingerprints() == before
+                        assert (await client.health())["tick_count"] == tick
+                    ticked = await client.tick(tick, frames)
+                    assert ticked["accepted"] == {s: True for s in sids}
+                    assert ticked["report"]["frames_processed"] == 3
+                    assert ticked["report"]["quarantined"] == []
+                return await client.fingerprints()
+            finally:
+                await client.close()
+
+        fingerprints = asyncio.run(_with_worker(body, fleet_config=cfg))
+        assert fingerprints == base.fingerprints
+
+    def test_quarantined_session_is_refused_in_the_round_response(self):
+        async def body(frontend, pool):
+            for i in range(2):
+                await frontend.register(_spec(session_id(i), NOMINAL_THRESHOLDS))
+            pool[0].fleet.quarantine(session_id(1), "operator pulled the plug")
+            frames = {session_id(i): frame_for(_SEED, i, 0) for i in range(2)}
+            outcome = await frontend.run_tick(0, frames)
+            return outcome.accepted, outcome.decisions
+
+        accepted, decisions = asyncio.run(_with_frontend(body))
+        assert accepted == {session_id(0): True, session_id(1): False}
+        assert list(decisions) == [session_id(0)]
+
+    def test_v1_round_is_refused_before_touching_state(self, loose_thresholds):
+        # A v1 worker would tick without the round's frames and answer
+        # without ``accepted``; a v2 worker refuses a v1 peer outright.
+        async def body(worker):
+            client = await ServiceClient("127.0.0.1", worker.port).connect()
+            try:
+                sid = await client.register(_spec("rig-000", loose_thresholds))
+                before = await client.fingerprints()
+            finally:
+                await client.close()
+            reader, writer = await asyncio.open_connection("127.0.0.1", worker.port)
+            v1 = dict(
+                request("tick", 0, tick=0, frames={sid: frame_to_wire(_frame())}),
+                v=1,
+            )
+            body_ = json.dumps(v1).encode()
+            writer.write(struct.pack(">I", len(body_)) + body_)
+            await writer.drain()
+            from repro.service.protocol import read_message
+
+            answer = await read_message(reader)
+            assert answer["ok"] is False and answer["kind"] == "ProtocolError"
+            assert "unsupported protocol version 1" in answer["error"]
+            assert await reader.read() == b""
+            writer.close()
+            await writer.wait_closed()
+            return before, worker.fleet.fingerprints(), worker.fleet.tick_count
+
+        before, after, tick_count = asyncio.run(_with_worker(body))
+        assert after == before and tick_count == 0
+
+    def test_a_tick_returns_every_record_past_the_recent_ring(self):
+        cfg = FleetConfig(queue_depth=100)
+        frames = [_frame(t) for t in range(100)]
+
+        # In process, through the worker's dispatch.
+        worker = ServiceWorker("d", InMemorySessionStore(), fleet_config=cfg)
+        spec = spec_to_wire(_spec("s", NOMINAL_THRESHOLDS))
+        worker.dispatch(request("register", 0, spec=spec))
+        for t, frame in enumerate(frames):
+            worker.dispatch(
+                request("ingest", t, session_id="s", frame=frame_to_wire(frame))
+            )
+        ticked = worker.dispatch(request("tick", 0, tick=0))
+        assert ticked["report"]["frames_processed"] == 100
+        assert worker.fleet.sessions["s"].decisions == 100
+        assert [r["tick"] for r in ticked["decisions"]["s"]] == list(range(100))
+        assert worker.tenant_decisions == {"s": 100}
+
+        # Over the wire.
+        async def body(worker):
+            client = await ServiceClient("127.0.0.1", worker.port).connect()
+            try:
+                await client.register(_spec("s", NOMINAL_THRESHOLDS))
+                for frame in frames:
+                    assert await client.ingest("s", frame)
+                return await client.tick(0)
+            finally:
+                await client.close()
+
+        wired = asyncio.run(_with_worker(body, fleet_config=cfg))
+        assert wired["decisions"] == ticked["decisions"]
 
 
 # ---------------------------------------------------------------------------
