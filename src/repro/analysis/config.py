@@ -175,6 +175,7 @@ class AnalysisConfig:
     #: Modules/packages where lane-scoped exception handling must reach a
     #: quarantine/retry boundary.
     quarantine_scope: Tuple[str, ...] = (
+        "repro.core.pipeline",
         "repro.fleet",
         "repro.experiments.parallel",
         "repro.service",

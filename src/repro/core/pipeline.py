@@ -33,14 +33,16 @@ from __future__ import annotations
 import enum
 import math
 import operator
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.control.state_machine import RobotState
-from repro.core.detector import AnomalyDetector, DetectionResult
+from repro.core.detector import AnomalyDetector, BatchedAnomalyDetector, DetectionResult
 from repro.core.estimator import (
+    BatchedNextStateEstimator,
     NextStateEstimator,
     StateEstimate,
     hex_vector,
@@ -238,10 +240,10 @@ class DetectorGuard:
         self._board: Optional[UsbBoard] = None
         self._cycle = 0
         self._block_streak = 0
-        # Batched execution hook (see repro.sim.batch): when set, process()
-        # records the packet with the sink instead of evaluating inline;
-        # the sink later runs the numeric work through the batched
-        # estimator and calls _finish_evaluation() with the results.
+        # Batched execution hook: the LanePack this guard is a lane of.
+        # When set, process() records the packet with the pack instead of
+        # evaluating inline; the pack later runs the numeric work batched
+        # and calls _finish_evaluation() or _record_verdict().
         self._batch_sink = None
         # Forensic stash read by the flight recorder each control cycle:
         # the most recent evaluation, the estimate it was based on, the
@@ -408,9 +410,10 @@ class DetectorGuard:
     def _record_verdict(self, alert: bool) -> None:
         """Bookkeeping every evaluated packet gets, alerting or not.
 
-        A batched sink that decides a lane's packet is clear calls only
-        this (the forensic stash stays cleared: no fleet reader needs
-        it); alerting packets go through :meth:`_finish_evaluation`.
+        A :class:`LanePack` that decides a lane's packet is clear calls
+        only this (the forensic stash stays cleared) unless a flight
+        recorder reads the lane's stash; alerting packets go through
+        :meth:`_finish_evaluation`.
         """
         self.stats.packets_evaluated += 1
         if not alert:
@@ -458,6 +461,196 @@ class DetectorGuard:
                 "dynamic-model detector alert persisted; escalating to E-STOP"
             )
         return not blocked
+
+
+def _lane_mask(num: int, lanes: Sequence[int]) -> np.ndarray:
+    """Boolean mask over ``num`` lanes, set at ``lanes``."""
+    mask = np.zeros(num, dtype=bool)
+    mask[list(lanes)] = True
+    return mask
+
+
+class LanePack:
+    """The batch sink: many guards' numeric core, decided in batched rounds.
+
+    Each guard keeps its per-packet bookkeeping, mitigation chain and
+    statistics.  While it is a lane of a pack, ``DetectorGuard.process``
+    queues the packet here (:meth:`capture`) instead of evaluating inline,
+    and :meth:`decide` later runs the queued packets in rounds.  A round
+    takes every lane's oldest capture and makes one masked sync/coast, one
+    :class:`BatchedNextStateEstimator` estimate and one
+    :class:`BatchedAnomalyDetector` pass over the pack; then an alerting
+    lane runs the guard's :meth:`~DetectorGuard._finish_evaluation` and a
+    clear lane its :meth:`~DetectorGuard._record_verdict`.  A lane decides
+    exactly as its guard would alone (``tests/test_batch_equivalence.py``,
+    ``tests/test_fleet.py``).
+
+    The guard's scalar estimator and detector stay the durable copy: the
+    pack loads each lane from their snapshots when it is built, and
+    :meth:`writeback` / :meth:`detach` copy the lane back into them.
+    """
+
+    @staticmethod
+    def mismatch(guard: DetectorGuard, member: DetectorGuard) -> Optional[str]:
+        """Why ``guard`` cannot share a pack with ``member`` (None if it can).
+
+        The batched estimator holds one integrator, control period and
+        velocity filter; thresholds, fusion, decision window, model error
+        and mitigation may differ per lane.
+        """
+        ours, theirs = guard.estimator, member.estimator
+        for what, mine, other in (
+            ("integrator", ours.model.integrator_name, theirs.model.integrator_name),
+            ("estimator dt", ours.dt, theirs.dt),
+            ("velocity_filter_alpha", ours.alpha, theirs.alpha),
+        ):
+            if mine != other:
+                return f"its {what} {mine!r} differs from the pack's {other!r}"
+        return None
+
+    def __init__(self, guards: Sequence[DetectorGuard]) -> None:
+        for guard in guards[1:]:
+            reason = self.mismatch(guard, guards[0])
+            if reason is not None:
+                raise DetectorError(f"guard cannot join the lane pack: {reason}")
+        self.guards = list(guards)
+        estimator = guards[0].estimator
+        self.estimator = BatchedNextStateEstimator(
+            [g.estimator.model for g in guards],
+            dt=estimator.dt,
+            velocity_filter_alpha=estimator.alpha,
+        )
+        self.detector = BatchedAnomalyDetector.from_detectors(
+            [g.detector for g in guards]
+        )
+        for lane, guard in enumerate(guards):
+            self.estimator.load_lane_state(lane, guard.estimator.snapshot())
+            self.detector.load_lane_state(lane, guard.detector.snapshot())
+            guard._batch_sink = self
+        self._lane_of = {id(g): i for i, g in enumerate(guards)}
+        self._captures: List[Deque[Tuple[CommandPacket, Optional[np.ndarray]]]] = [
+            deque() for _ in guards
+        ]
+        # Lanes whose clear verdicts also fill the guard's forensic stash
+        # (a flight recorder reads it every cycle).
+        self._stash = [False] * len(guards)
+
+    @property
+    def num_lanes(self) -> int:
+        return len(self.guards)
+
+    def lane_of(self, guard: DetectorGuard) -> int:
+        return self._lane_of[id(guard)]
+
+    def pending_captures(self, lane: int) -> int:
+        return len(self._captures[lane])
+
+    def capture(
+        self, guard: DetectorGuard, packet: CommandPacket, mpos: Optional[np.ndarray]
+    ) -> bool:
+        """Queue one packet for :meth:`decide`; the provisional allow.
+
+        Called from ``DetectorGuard.process`` (after its per-packet
+        bookkeeping) in place of the inline sync/estimate/evaluate chain.
+        """
+        self._captures[self._lane_of[id(guard)]].append((packet, mpos))
+        return True
+
+    def decide(
+        self,
+    ) -> Tuple[List[Tuple[int, bool, bool, bool]], List[Tuple[int, BaseException]]]:
+        """Decide every queued packet, batched, in per-lane FIFO order.
+
+        Returns ``(decisions, faults)``: decisions are ``(lane, allowed,
+        evaluated, alert)`` in per-lane FIFO order (pedal-up and unsynced
+        packets are allowed unevaluated); faults are ``(lane, exception)``
+        for lanes whose per-lane step raised.  A faulted lane's remaining
+        captures are dropped, and the other lanes are still decided.
+        """
+        num = self.num_lanes
+        captures = self._captures
+        decisions: List[Tuple[int, bool, bool, bool]] = []
+        faults: List[Tuple[int, BaseException]] = []
+        while any(captures):
+            self.estimator.model.refresh_parameters()
+            round_caps = [
+                (lane, caps.popleft()) for lane, caps in enumerate(captures) if caps
+            ]
+            measured = [
+                (lane, mpos) for lane, (_, mpos) in round_caps if mpos is not None
+            ]
+            if measured:
+                lanes, rows = zip(*measured)
+                mpos_rows = np.zeros((num, 3))
+                mpos_rows[list(lanes)] = rows
+                self.estimator.sync(mpos_rows, _lane_mask(num, lanes))
+            if len(measured) < len(round_caps):
+                coasting = [lane for lane, (_, mpos) in round_caps if mpos is None]
+                self.estimator.coast(_lane_mask(num, coasting))
+
+            synced = self.estimator.synced.tolist()
+            evaluated: List[Tuple[int, CommandPacket]] = []
+            for lane, (packet, _) in round_caps:
+                if packet.state is RobotState.PEDAL_DOWN and synced[lane]:
+                    evaluated.append((lane, packet))
+                else:
+                    decisions.append((lane, True, False, False))
+            if not evaluated:
+                continue
+            eval_lanes = [lane for lane, _ in evaluated]
+            eval_mask = _lane_mask(num, eval_lanes)
+            dac_rows = np.zeros((num, 3))
+            dac_rows[eval_lanes] = [packet.dac_values[:3] for _, packet in evaluated]
+            estimate = self.estimator.estimate(dac_rows, eval_mask)
+            result = self.detector.evaluate(estimate, eval_mask)
+            alerts = result.alert.tolist()
+            for lane, packet in evaluated:
+                guard = self.guards[lane]
+                alert = alerts[lane]
+                try:
+                    if alert or self._stash[lane]:
+                        allowed = guard._finish_evaluation(
+                            packet, estimate.lane(lane), result.lane(lane)
+                        )
+                    else:
+                        guard._record_verdict(False)
+                        allowed = True
+                except Exception as exc:  # noqa: BLE001 — lane isolation
+                    faults.append((lane, exc))
+                    captures[lane].clear()
+                    continue
+                decisions.append((lane, allowed, True, alert))
+        return decisions, faults
+
+    def writeback(self, lane: int) -> None:
+        """Copy a lane's batched estimator and detector state into its
+        guard's scalar twins (before a checkpoint, a re-pack or a
+        detach)."""
+        guard = self.guards[lane]
+        guard.estimator.restore(self.estimator.lane_state(lane))
+        guard.detector.restore(self.detector.lane_state(lane))
+
+    def remove_lanes(self, lanes: Sequence[int]) -> None:
+        """Eject lanes (written back, then unbound); survivors' rows keep
+        their bytes."""
+        removed = set(lanes)
+        for lane in lanes:
+            self.writeback(lane)
+            self.guards[lane]._batch_sink = None
+        self.estimator.remove_lanes(lanes)
+        self.detector.remove_lanes(lanes)
+        keep = [i for i in range(self.num_lanes) if i not in removed]
+        self.guards = [self.guards[i] for i in keep]
+        self._captures = [self._captures[i] for i in keep]
+        self._stash = [self._stash[i] for i in keep]
+        self._lane_of = {id(g): i for i, g in enumerate(self.guards)}
+
+    def detach(self) -> None:
+        """Write every lane back and unbind its guard, which evaluates
+        inline again from exactly where its lane left off."""
+        for lane, guard in enumerate(self.guards):
+            self.writeback(lane)
+            guard._batch_sink = None
 
 
 @dataclass(frozen=True)

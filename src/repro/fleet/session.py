@@ -294,7 +294,7 @@ class FleetSession:
 
         The caller must have written the session's batched-lane estimator
         state back into the scalar estimator first (see
-        ``_SessionPack.writeback``); queued-but-unprocessed frames are
+        ``LanePack.writeback``); queued-but-unprocessed frames are
         deliberately *not* checkpointed — on resume the feed replays from
         ``frames_processed``.
         """

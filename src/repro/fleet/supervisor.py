@@ -1,23 +1,22 @@
 """The fleet supervisor: fail-operational multiplexing of many sessions.
 
 :class:`FleetSupervisor` drives N registered sessions through one
-**batched lane pack**: each session's guard keeps its own statistics,
-mitigation chain and supervisor state machine, but the numeric core
-(estimator sync/coast, one-step model prediction, thresholds, fusion and
-decision window) runs once per round through a shared
-:class:`repro.core.BatchedNextStateEstimator` and
-:class:`repro.core.BatchedAnomalyDetector` — the same batch-sink seam
-:class:`repro.sim.batch.BatchedSurgicalRig` uses, so a lane's bytes are
-provably independent of who else is packed with it.  Only lanes that
-alert run per-lane Python beyond their counters.
+**lane pack** (:class:`repro.core.pipeline.LanePack`, the batch driver
+:class:`repro.sim.batch.BatchedSurgicalRig` uses too): each session's
+guard keeps its own statistics, mitigation chain and supervisor state
+machine, but the numeric core (estimator sync/coast, one-step model
+prediction, thresholds, fusion and decision window) runs once per round,
+batched, so a lane's bytes are provably independent of who else is
+packed with it.  Only lanes that alert run per-lane Python beyond their
+counters.
 
 Fail-operational guarantees:
 
 - **lane fault isolation** — a session whose evaluation throws, whose
   checkpoint cannot be persisted, or whose stored state fails integrity
   is *quarantined*: its lane is ejected from the pack
-  (:meth:`~repro.core.BatchedNextStateEstimator.remove_lanes` — the
-  survivors' rows keep their exact bytes) and its guard is escalated
+  (:meth:`~repro.core.pipeline.LanePack.remove_lanes` — the survivors'
+  rows keep their exact bytes) and its guard is escalated
   through the existing STALE -> PLC E-STOP machine; the supervisor and
   every other session keep running;
 - **durable sessions** — guard state checkpoints into a
@@ -38,16 +37,10 @@ deterministic.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-import numpy as np
-
-from repro.control.state_machine import RobotState
-from repro.core.detector import BatchedAnomalyDetector
-from repro.core.estimator import BatchedNextStateEstimator
-from repro.core.pipeline import DetectorGuard
+from repro.core.pipeline import LanePack
 from repro.errors import FleetError, SessionStoreError, SnapshotIntegrityError
 from repro.fleet.config import FleetConfig
 from repro.fleet.session import FleetSession, SessionSpec, TelemetryFrame, _PendingDecision
@@ -57,189 +50,25 @@ from repro.fleet.store import (
     SessionSnapshot,
     SessionStore,
 )
-from repro.hw.usb_packet import CommandPacket
 from repro.obs.export import write_jsonl
 from repro.obs.runtime import get_runtime
 
 
-@dataclass
-class _FleetCapture:
-    """One deferred guard evaluation (one frame on one lane)."""
+class _SessionPack(LanePack):
+    """The fleet's lane pack: its verdicts become decision records.
 
-    guard: DetectorGuard
-    packet: CommandPacket
-    mpos: Optional[np.ndarray]
-
-
-def _lane_mask(num: int, lanes) -> np.ndarray:
-    """Boolean mask over ``num`` lanes, set at ``lanes``."""
-    mask = np.zeros(num, dtype=bool)
-    mask[list(lanes)] = True
-    return mask
-
-
-class _SessionPack:
-    """Batch sink multiplexing the sessions' estimators and detectors.
-
-    The fleet counterpart of ``repro.sim.batch._BatchGuardCoordinator``:
-    identical masked sync/coast/estimate rounds against a
-    :class:`BatchedNextStateEstimator`, minus the DAC latch boards (the
-    fleet reports decisions instead of driving motors), plus one
-    :class:`BatchedAnomalyDetector` pass per round for every lane's
-    verdict.  Each session's guard keeps its scalar estimator and
-    detector as the durable copy: lanes load from them and
-    :meth:`writeback` into them.  Per-lane scalar work (the mitigation
-    chain of an alerting lane, a clear lane's bookkeeping) is isolated: a
-    lane that throws is reported as faulted, never allowed to unwind the
-    pack.
+    A lane whose per-lane step throws comes back as a fault, and the
+    supervisor quarantines its session.  ``finalize`` is the fleet's batch
+    step, defined here (not inherited) so it has a name of its own apart
+    from the rig's: ``perfbench/layers.py`` times each by name.
     """
-
-    def __init__(self, guards: List[DetectorGuard]) -> None:
-        from repro.dynamics.batch import require_homogeneous
-
-        require_homogeneous(
-            [g.estimator.model.integrator_name for g in guards], "model integrator"
-        )
-        require_homogeneous([g.estimator.dt for g in guards], "estimator dt")
-        require_homogeneous(
-            [g.estimator.alpha for g in guards], "velocity_filter_alpha"
-        )
-        self.guards = list(guards)
-        # Built pristine from the lanes' configuration, then loaded lane by
-        # lane from the scalar snapshots — this is also the resume path,
-        # where the scalar copies already hold checkpointed state (so
-        # ``from_estimators``'s pristine-only constructor cannot be used).
-        self.estimator = BatchedNextStateEstimator(
-            [g.estimator.model for g in guards],
-            dt=guards[0].estimator.dt,
-            velocity_filter_alpha=guards[0].estimator.alpha,
-        )
-        self.detector = BatchedAnomalyDetector.from_detectors(
-            [g.detector for g in guards]
-        )
-        for lane, guard in enumerate(guards):
-            self.estimator.load_lane_state(lane, guard.estimator.snapshot())
-            self.detector.load_lane_state(lane, guard.detector.snapshot())
-        self._lane_of = {id(g): i for i, g in enumerate(guards)}
-        self._captures: List[Deque[_FleetCapture]] = [deque() for _ in guards]
-        for guard in guards:
-            guard._batch_sink = self
-
-    @property
-    def num_lanes(self) -> int:
-        return len(self.guards)
-
-    def lane_of(self, guard: DetectorGuard) -> int:
-        return self._lane_of[id(guard)]
-
-    def pending_captures(self, lane: int) -> int:
-        return len(self._captures[lane])
-
-    def capture(self, guard: DetectorGuard, packet, mpos) -> bool:
-        """Record one packet for deferred batched evaluation."""
-        self._captures[self._lane_of[id(guard)]].append(
-            _FleetCapture(guard=guard, packet=packet, mpos=mpos)
-        )
-        return True
 
     def finalize(
         self,
     ) -> Tuple[List[Tuple[int, bool, bool, bool]], List[Tuple[int, BaseException]]]:
-        """Run all deferred evaluations, batched; report per-lane verdicts.
-
-        Each round takes the oldest capture of every lane that has one:
-        one masked sync/coast, one estimate and one detector pass over the
-        whole pack.  Returns ``(decisions, faults)``: decisions are
-        ``(lane, allowed, evaluated, alert)`` in per-lane FIFO order;
-        faults are ``(lane, exception)`` for lanes whose per-lane step
-        raised (their remaining captures are dropped — the session is
-        about to be quarantined).
-        """
-        num = self.num_lanes
-        captures = self._captures
-        decisions: List[Tuple[int, bool, bool, bool]] = []
-        faults: List[Tuple[int, BaseException]] = []
-        while any(captures):
-            self.estimator.model.refresh_parameters()
-            round_caps = [
-                (lane, caps.popleft()) for lane, caps in enumerate(captures) if caps
-            ]
-            measured = [
-                (lane, cap.mpos) for lane, cap in round_caps if cap.mpos is not None
-            ]
-            if measured:
-                lanes, rows = zip(*measured)
-                mpos_rows = np.zeros((num, 3))
-                mpos_rows[list(lanes)] = rows
-                self.estimator.sync(mpos_rows, _lane_mask(num, lanes))
-            if len(measured) < len(round_caps):
-                coasting = [lane for lane, cap in round_caps if cap.mpos is None]
-                self.estimator.coast(_lane_mask(num, coasting))
-
-            synced = self.estimator.synced.tolist()
-            evaluated: List[Tuple[int, _FleetCapture]] = []
-            for lane, cap in round_caps:
-                if cap.packet.state is RobotState.PEDAL_DOWN and synced[lane]:
-                    evaluated.append((lane, cap))
-                else:
-                    # Pedal up / not yet synced: allowed, not evaluated.
-                    decisions.append((lane, True, False, False))
-            if not evaluated:
-                continue
-            eval_lanes = [lane for lane, _ in evaluated]
-            eval_mask = _lane_mask(num, eval_lanes)
-            dac_rows = np.zeros((num, 3))
-            dac_rows[eval_lanes] = [cap.packet.dac_values[:3] for _, cap in evaluated]
-            estimate = self.estimator.estimate(dac_rows, eval_mask)
-            result = self.detector.evaluate(estimate, eval_mask)
-            alerts = result.alert.tolist()
-            for lane, cap in evaluated:
-                alert = alerts[lane]
-                try:
-                    if alert:
-                        allowed = cap.guard._finish_evaluation(
-                            cap.packet, estimate.lane(lane), result.lane(lane)
-                        )
-                    else:
-                        cap.guard._record_verdict(False)
-                        allowed = True
-                except Exception as exc:  # noqa: BLE001 — lane isolation
-                    faults.append((lane, exc))
-                    captures[lane].clear()
-                    continue
-                decisions.append((lane, allowed, True, alert))
-        return decisions, faults
-
-    def writeback(self, lane: int) -> None:
-        """Copy a lane's batched estimator and detector state into its
-        scalar twins.
-
-        Called before checkpointing (the snapshot serializes the scalar
-        copies) and before rebuilding the pack.
-        """
-        guard = self.guards[lane]
-        guard.estimator.restore(self.estimator.lane_state(lane))
-        guard.detector.restore(self.detector.lane_state(lane))
-
-    def remove_lanes(self, lanes: List[int]) -> None:
-        """Eject quarantined lanes; survivors' rows keep their bytes."""
-        removed = set(lanes)
-        for lane in lanes:
-            guard = self.guards[lane]
-            self.writeback(lane)  # preserve final state for forensics
-            guard._batch_sink = None
-        self.estimator.remove_lanes(lanes)
-        self.detector.remove_lanes(lanes)
-        self.guards = [g for i, g in enumerate(self.guards) if i not in removed]
-        self._captures = [
-            caps for i, caps in enumerate(self._captures) if i not in removed
-        ]
-        self._lane_of = {id(g): i for i, g in enumerate(self.guards)}
-
-    def detach(self) -> None:
-        for lane, guard in enumerate(self.guards):
-            self.writeback(lane)
-            guard._batch_sink = None
+        """``(decisions, faults)`` for every queued frame (see
+        :meth:`LanePack.decide`)."""
+        return self.decide()
 
 
 @dataclass
@@ -327,7 +156,17 @@ class FleetSupervisor:
                 f"fleet is full ({self.config.max_sessions} sessions)"
             )
         session = FleetSession(spec, self.config)
-        self._check_packable(session)
+        # Refused before it joins the roster, so a spec the pack cannot
+        # batch never stops the pack from building for the others.
+        active = self.active
+        if active:
+            reason = LanePack.mismatch(
+                session.supervisor.guard, active[0].supervisor.guard
+            )
+            if reason is not None:
+                raise FleetError(
+                    f"session {spec.session_id!r} cannot join the lane pack: {reason}"
+                )
         self.sessions[spec.session_id] = session
         self._order.append(spec.session_id)
         self._pack_stale = True
@@ -358,30 +197,6 @@ class FleetSupervisor:
             self._quarantine([spec.session_id], "restore failed")
             raise
         return session
-
-    def _check_packable(self, session: FleetSession) -> None:
-        """Refuse a session whose estimator cannot share the lane pack.
-
-        The pack batches one estimator configuration (integrator, dt,
-        velocity filter); a session that differs is rejected here, before
-        it joins the roster, so it can never stop the pack from building
-        for the sessions already deciding.
-        """
-        active = self.active
-        if not active:
-            return
-        ours = session.supervisor.guard.estimator
-        fleet = active[0].supervisor.guard.estimator
-        for what, mine, theirs in (
-            ("integrator", ours.model.integrator_name, fleet.model.integrator_name),
-            ("estimator dt", ours.dt, fleet.dt),
-            ("velocity_filter_alpha", ours.alpha, fleet.alpha),
-        ):
-            if mine != theirs:
-                raise FleetError(
-                    f"session {session.session_id!r} cannot join the lane pack: "
-                    f"its {what} {mine!r} differs from the fleet's {theirs!r}"
-                )
 
     def _ensure_pack(self) -> None:
         """Rebuild the batched pack over the active sessions if a

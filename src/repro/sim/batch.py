@@ -7,11 +7,13 @@ cycle advances all lanes together:
 - the N scalar plants are replaced by one :class:`repro.dynamics.batch
   .BatchedPlant` plus per-lane views, so the physics integrates as one
   ``(N, ...)`` operation;
-- each lane's :class:`DetectorGuard` gets a *batch sink*: the guard's
+- the guarded lanes become lanes of one :class:`repro.core.pipeline
+  .LanePack` (the same batch driver the fleet uses): each guard's
   per-packet bookkeeping, supervisor screening and mitigation decisions
   stay scalar and per lane, but the numeric core (estimator sync/coast,
-  one-step model prediction) runs once, batched, through
-  :class:`repro.core.estimator.BatchedNextStateEstimator`;
+  one-step model prediction, thresholds, fusion and decision window) runs
+  once per round, batched; :meth:`BatchedSurgicalRig.run` detaches the
+  pack at the end, writing each lane back into its guard;
 - DAC latching onto the motor controllers is deferred within the cycle
   (the controller's USB write is its last effectful statement, so the
   deferral is invisible to the software stack) and flushed after the
@@ -26,24 +28,24 @@ alarm cycles, blocked packets, PLC E-STOPs and degraded-mode transitions.
 harness (:mod:`repro.testing.differential`).
 
 Lanes may differ in seed, trajectory, pedal schedule, attack preloads,
-physical-fault plans, thresholds, mitigation strategy and model parameter
-error.  They must share the control period, run duration, plant
-integrator/substeps and (across guarded lanes) the model integrator —
-asserted at construction.
+physical-fault plans, thresholds, fusion rule, decision window,
+mitigation strategy and model parameter error.  They must share the control
+period, run duration, plant integrator/substeps and (across guarded
+lanes) what :meth:`LanePack.mismatch` checks — asserted at construction.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from contextlib import nullcontext
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Deque, List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro import constants
 from repro.control.state_machine import RobotState
-from repro.core.estimator import BatchedNextStateEstimator
-from repro.core.pipeline import DetectorGuard, GuardSupervisor
+from repro.core.pipeline import DetectorGuard, GuardSupervisor, LanePack
 from repro.dynamics.batch import BatchedPlant, require_homogeneous
 from repro.errors import SimulationError
 from repro.hw.usb_board import UsbBoard
@@ -90,9 +92,9 @@ class _DeferredLatchBoard:
     ``UsbBoard.fd_write`` calls ``board._latch(values)`` as its final act;
     this shim captures those calls in order and replays them through the
     original ``_latch`` (which applies any ``dac_fault`` hook and latches
-    onto the motor controller) at flush time.  The batched guard
-    coordinator can retroactively zero a pending entry when its deferred
-    evaluation decides the packet is blocked — producing the same latch
+    onto the motor controller) at flush time.  The rig's lane pack can
+    retroactively zero a pending entry when its deferred evaluation
+    decides the packet is blocked — producing the same latch
     sequence, fault-hook call count and counters as the scalar path.
     """
 
@@ -123,132 +125,49 @@ class _DeferredLatchBoard:
         self.board._latch = self._real_latch
 
 
-@dataclass
-class _Capture:
-    """One deferred guard evaluation (one packet on one lane)."""
+class _BatchGuardCoordinator(LanePack):
+    """The lane pack of a :class:`BatchedSurgicalRig`'s guarded lanes.
 
-    lane: int  # guarded-lane index (into the batched estimator)
-    guard: DetectorGuard
-    packet: CommandPacket
-    mpos: Optional[np.ndarray]
-    latch_board: _DeferredLatchBoard
-    latch_index: int
-
-
-class _BatchGuardCoordinator:
-    """The batch sink shared by all guarded lanes of one batched rig.
-
-    Collects each lane's per-packet capture during the cycle's controller
-    phase, then — in :meth:`finalize` — runs the estimator work batched
-    and replays each lane's decision chain in its original order:
-
-    1. batched ``sync`` for lanes with a trusted measurement, batched
-       ``coast`` for lanes in degraded mode;
-    2. one batched one-step model prediction for the lanes that evaluate
-       this cycle (Pedal Down and synced);
-    3. per lane, the scalar ``detector.evaluate`` (thresholds, fusion and
-       decision windows stay per-lane state) and the guard's mitigation
-       chain via ``DetectorGuard._finish_evaluation``;
-    4. blocked packets retroactively zero their deferred DAC latch.
+    Its verdicts gate the lanes' deferred DAC latches: each capture
+    records the index of the latch its packet queued, and a blocked
+    packet's latch is zeroed before the rig flushes the boards.  Clear
+    lanes fill the guard's forensic stash only when their rig has a
+    flight recorder to read it.  ``finalize`` is the rig's batch step,
+    named apart from the fleet's: ``perfbench/layers.py`` times each by
+    name.
     """
 
-    def __init__(
-        self,
-        guards: Sequence[DetectorGuard],
-        latch_boards: Dict[int, _DeferredLatchBoard],
-    ) -> None:
-        require_homogeneous(
-            [g.estimator.model.integrator_name for g in guards], "model integrator"
+    def __init__(self, rigs: Sequence[SurgicalRig]) -> None:
+        super().__init__(
+            [
+                rig.guard.guard if isinstance(rig.guard, GuardSupervisor) else rig.guard
+                for rig in rigs
+            ]
         )
-        self.guards = list(guards)
-        self.estimator = BatchedNextStateEstimator.from_estimators(
-            [g.estimator for g in guards]
-        )
-        self._lane_of = {id(g): i for i, g in enumerate(guards)}
-        self._latch_boards = latch_boards
-        self._captures: List[List[_Capture]] = [[] for _ in guards]
-        for guard in guards:
-            guard._batch_sink = self
+        self.boards = [_DeferredLatchBoard(rig.usb_board) for rig in rigs]
+        self._latches: List[Deque[int]] = [deque() for _ in rigs]
+        self._stash = [rig.flight is not None for rig in rigs]
 
     def capture(
         self, guard: DetectorGuard, packet: CommandPacket, mpos: Optional[np.ndarray]
     ) -> bool:
-        """Record one packet for deferred batched evaluation.
-
-        Called from ``DetectorGuard.process`` (after its per-packet
-        bookkeeping) in place of the inline sync/estimate/evaluate chain.
-        Returns the provisional allow; the deferred latch is adjusted in
-        :meth:`finalize` if the evaluation decides to block.
-        """
-        lane = self._lane_of[id(guard)]
-        board = self._latch_boards[lane]
-        self._captures[lane].append(
-            _Capture(
-                lane=lane,
-                guard=guard,
-                packet=packet,
-                mpos=mpos,
-                latch_board=board,
-                latch_index=board.next_index(),
-            )
-        )
-        return True
+        lane = self.lane_of(guard)
+        self._latches[lane].append(self.boards[lane].next_index())
+        return super().capture(guard, packet, mpos)
 
     def finalize(self) -> None:
-        """Run all deferred evaluations for this cycle, batched.
+        """Decide this cycle's packets; zero the latches of blocked ones.
 
-        Processes one capture per lane per round (lanes normally see
-        exactly one packet per control cycle; extras queue FIFO), so a
-        lane's packets are always evaluated in arrival order against the
-        correct estimator state.
+        A lane whose mitigation step raised fails the run, as it would
+        the scalar rig.
         """
-        num = len(self.guards)
-        while any(self._captures):
-            self.estimator.model.refresh_parameters()
-            round_caps: List[Optional[_Capture]] = [
-                caps.pop(0) if caps else None for caps in self._captures
-            ]
-            sync_mask = np.zeros(num, dtype=bool)
-            coast_mask = np.zeros(num, dtype=bool)
-            mpos_rows = np.zeros((num, 3))
-            for cap in round_caps:
-                if cap is None:
-                    continue
-                if cap.mpos is not None:
-                    sync_mask[cap.lane] = True
-                    mpos_rows[cap.lane] = cap.mpos
-                else:
-                    coast_mask[cap.lane] = True
-            if sync_mask.any():
-                self.estimator.sync(mpos_rows, sync_mask)
-            if coast_mask.any():
-                self.estimator.coast(coast_mask)
-
-            synced = self.estimator.synced
-            eval_mask = np.zeros(num, dtype=bool)
-            dac_rows = np.zeros((num, 3))
-            for cap in round_caps:
-                if cap is None:
-                    continue
-                if cap.packet.state is RobotState.PEDAL_DOWN and synced[cap.lane]:
-                    eval_mask[cap.lane] = True
-                    dac_rows[cap.lane] = np.asarray(
-                        cap.packet.dac_values[:3], dtype=float
-                    )
-            if eval_mask.any():
-                batch_estimate = self.estimator.estimate(dac_rows, eval_mask)
-            for cap in round_caps:
-                if cap is None or not eval_mask[cap.lane]:
-                    continue
-                estimate = batch_estimate.lane(cap.lane)
-                result = cap.guard.detector.evaluate(estimate)
-                allowed = cap.guard._finish_evaluation(cap.packet, estimate, result)
-                if not allowed:
-                    cap.latch_board.block(cap.latch_index)
-
-    def detach(self) -> None:
-        for guard in self.guards:
-            guard._batch_sink = None
+        decisions, faults = self.decide()
+        if faults:
+            raise faults[0][1]
+        for lane, allowed, _, _ in decisions:
+            index = self._latches[lane].popleft()
+            if not allowed:
+                self.boards[lane].block(index)
 
 
 class BatchedSurgicalRig:
@@ -281,26 +200,10 @@ class BatchedSurgicalRig:
             rig.motor_controller.plant = view
             rig.plc.plant = view
 
-        # Deferred DAC latching + the batched guard coordinator over the
-        # guarded lanes (inner guards for supervisor-wrapped lanes).
-        self._guarded: List[Tuple[int, DetectorGuard]] = []
-        for i, rig in enumerate(self.rigs):
-            guard = rig.guard
-            if guard is None:
-                continue
-            inner = guard.guard if isinstance(guard, GuardSupervisor) else guard
-            self._guarded.append((i, inner))
-        self._latch_boards: Dict[int, _DeferredLatchBoard] = {}
-        self.coordinator: Optional[_BatchGuardCoordinator] = None
-        if self._guarded:
-            boards = {
-                gi: _DeferredLatchBoard(self.rigs[i].usb_board)
-                for gi, (i, _) in enumerate(self._guarded)
-            }
-            self._latch_boards = boards
-            self.coordinator = _BatchGuardCoordinator(
-                [inner for _, inner in self._guarded], boards
-            )
+        # Deferred DAC latching + one lane pack over the guarded lanes
+        # (inner guards for supervisor-wrapped lanes); run() detaches it.
+        guarded = [rig for rig in self.rigs if rig.guard is not None]
+        self.coordinator = _BatchGuardCoordinator(guarded) if guarded else None
 
     def run(self) -> List[RunTrace]:
         """Execute all lanes and return their traces, in lane order.
@@ -348,73 +251,79 @@ class BatchedSurgicalRig:
             if obs.enabled
             else nullcontext()
         )
-        with run_span:
-            for k in range(steps):
-                now = k * constants.CONTROL_PERIOD_S
+        # Detach even on failure: a guard left bound to a pack that no
+        # longer decides would allow every later packet unevaluated.
+        try:
+            with run_span:
+                for k in range(steps):
+                    now = k * constants.CONTROL_PERIOD_S
 
-                # Phase 1: per-lane frontend (console, network, control
-                # software).  Guarded lanes capture their packet with the
-                # coordinator instead of evaluating inline.
-                outs = []
-                for i, rig in enumerate(self.rigs):
-                    rig._now = now
-                    if not started[i] and now >= configs[i].start_button_s:
-                        rig.controller.press_start(now)
-                        started[i] = True
-                    rig.socket.set_time(now)
-                    if rig.phys_injector is not None:
-                        rig.phys_injector.set_time(now)
-                    rig.console.tick(now)
-                    out = rig.controller.tick(now)
-                    if not out.safety.safe:
-                        traces[i].safety_trip_cycles.append(k)
-                    outs.append(out)
+                    # Phase 1: per-lane frontend (console, network, control
+                    # software).  Guarded lanes capture their packet with the
+                    # lane pack instead of evaluating inline.
+                    outs = []
+                    for i, rig in enumerate(self.rigs):
+                        rig._now = now
+                        if not started[i] and now >= configs[i].start_button_s:
+                            rig.controller.press_start(now)
+                            started[i] = True
+                        rig.socket.set_time(now)
+                        if rig.phys_injector is not None:
+                            rig.phys_injector.set_time(now)
+                        rig.console.tick(now)
+                        out = rig.controller.tick(now)
+                        if not out.safety.safe:
+                            traces[i].safety_trip_cycles.append(k)
+                        outs.append(out)
 
-                # Phase 2: batched guard evaluation + deferred latch flush.
-                if self.coordinator is not None:
-                    self.coordinator.finalize()
-                for board in self._latch_boards.values():
-                    board.flush()
+                    # Phase 2: batched guard evaluation + deferred latch flush.
+                    if self.coordinator is not None:
+                        self.coordinator.finalize()
+                        for board in self.coordinator.boards:
+                            board.flush()
 
-                # Phase 3: per-lane housekeeping (watchdogs, PLC, E-STOP
-                # propagation) — same order as the scalar loop.
-                for i, rig in enumerate(self.rigs):
-                    if rig.guard is not None:
-                        rig.guard.tick_cycle(k)
-                    rig.plc.tick()
-                    if (
-                        rig.plc.estop_latched
-                        and rig.controller.state_machine.state
-                        is not RobotState.E_STOP
-                    ):
-                        rig.controller.state_machine.emergency_stop(
-                            now, reason=f"PLC: {rig.plc.estop_reason}"
+                    # Phase 3: per-lane housekeeping (watchdogs, PLC, E-STOP
+                    # propagation) — same order as the scalar loop.
+                    for i, rig in enumerate(self.rigs):
+                        if rig.guard is not None:
+                            rig.guard.tick_cycle(k)
+                        rig.plc.tick()
+                        if (
+                            rig.plc.estop_latched
+                            and rig.controller.state_machine.state
+                            is not RobotState.E_STOP
+                        ):
+                            rig.controller.state_machine.emergency_stop(
+                                now, reason=f"PLC: {rig.plc.estop_reason}"
+                            )
+
+                    # Phase 4: one batched plant step for all lanes.
+                    dac_rows = np.zeros((self.num_lanes, 3))
+                    for i, rig in enumerate(self.rigs):
+                        mc = rig.motor_controller
+                        if mc._powered:
+                            dac_rows[i] = mc._latched_dac
+                    self.plant.step(dac_rows)
+
+                    # Phase 5: per-lane trace recording + flight recorder.
+                    for i, rig in enumerate(self.rigs):
+                        snapshot = self.plant.lane_state(i)
+                        out = outs[i]
+                        traces[i].record(
+                            time=now,
+                            state=out.state,
+                            tip_pos=rig.arm.forward(snapshot.jpos),
+                            pos_d=out.pos_d,
+                            jpos=snapshot.jpos,
+                            jvel=snapshot.jvel,
+                            mpos=snapshot.mpos,
+                            dac=out.dac,
                         )
-
-                # Phase 4: one batched plant step for all lanes.
-                dac_rows = np.zeros((self.num_lanes, 3))
-                for i, rig in enumerate(self.rigs):
-                    mc = rig.motor_controller
-                    if mc._powered:
-                        dac_rows[i] = mc._latched_dac
-                self.plant.step(dac_rows)
-
-                # Phase 5: per-lane trace recording + flight recorder.
-                for i, rig in enumerate(self.rigs):
-                    snapshot = self.plant.lane_state(i)
-                    out = outs[i]
-                    traces[i].record(
-                        time=now,
-                        state=out.state,
-                        tip_pos=rig.arm.forward(snapshot.jpos),
-                        pos_d=out.pos_d,
-                        jpos=snapshot.jpos,
-                        jvel=snapshot.jvel,
-                        mpos=snapshot.mpos,
-                        dac=out.dac,
-                    )
-                    if rig.flight is not None:
-                        rig._flight_cycle(k, now, out, snapshot)
+                        if rig.flight is not None:
+                            rig._flight_cycle(k, now, out, snapshot)
+        finally:
+            if self.coordinator is not None:
+                self.coordinator.detach()
 
         for i, rig in enumerate(self.rigs):
             if rig.guard is not None:

@@ -395,8 +395,9 @@ def test_batch_modules_are_in_the_deterministic_scope():
             f"{module} must stay under RPR002's deterministic scope"
         )
     # The service boundary also carries the fleet's quarantine
-    # discipline: swallowed connection faults are RPR008 findings.
-    for module in ("repro.service", "repro.service.worker"):
+    # discipline: swallowed connection faults are RPR008 findings.  So
+    # does the lane pack, whose round loop isolates a throwing lane.
+    for module in ("repro.service", "repro.service.worker", "repro.core.pipeline"):
         assert module_matches(module, DEFAULT_CONFIG.quarantine_scope), (
             f"{module} must stay under RPR008's quarantine scope"
         )

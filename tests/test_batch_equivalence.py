@@ -35,6 +35,7 @@ from repro.core import (
     StateEstimate,
     SupervisorConfig,
 )
+from repro.errors import DetectorError
 from repro.sim.batch import BatchedSurgicalRig, LaneSpec
 from repro.sim.rig import RigConfig
 from repro.sim.runner import make_detector_guard, scenario_a_lane, scenario_b_lane
@@ -129,8 +130,33 @@ class TestFaultFreeEquivalence:
         assert_equivalent(recipes)
 
     def test_heterogeneous_guard_configurations(self):
-        """Lanes differ in model error, fusion rule and decision window."""
+        """Lanes differ in model error, fusion rule and decision window.
+
+        The attacked lanes mix every fusion rule with no window, (2, 3)
+        and (3, 5) in one rig, so the lane pack's per-lane batched
+        detector must alert (and count, per lane) as each scalar one.
+        """
+
+        def attacked(seed, fusion, decision_window):
+            return scenario_b_lane(
+                seed=seed,
+                error_dac=20_000,
+                period_ms=100,
+                duration_s=0.7,
+                attack_delay_cycles=40,
+                guard=debounced_guard(1.01, fusion, decision_window),
+                trajectory_name="figure8",
+            )
+
+        mixed = [
+            ("all-2of3", 14, FusionRule.ALL, (2, 3)),
+            ("majority-3of5", 15, FusionRule.MAJORITY, (3, 5)),
+            ("any-undebounced", 16, FusionRule.ANY, None),
+        ]
         recipes = [
+            LaneRecipe(name, lambda args=args: attacked(*args))
+            for name, *args in mixed
+        ] + [
             LaneRecipe(
                 "loose-model",
                 lambda: LaneSpec(
@@ -162,7 +188,9 @@ class TestFaultFreeEquivalence:
                 ),
             ),
         ]
-        assert_equivalent(recipes)
+        report = assert_equivalent(recipes)
+        for outcome in report.batched[: len(mixed)]:
+            assert outcome.guard_stats["detector_alerts"] > 0
 
 
 class TestAttackEquivalence:
@@ -361,6 +389,51 @@ class TestPerLaneAlarmBookkeeping:
         assert batched.alerts[0] == scalars[0].alerts > 0
         assert batched.alerts[1] == scalars[1].alerts == 0
         assert list(batched.evaluations) == [3, 3]
+
+
+class TestGuardAfterBatchedRun:
+    def test_reused_guard_decides_like_a_fresh_one(self):
+        """A batched run hands its guards back: reset, a guard that was a
+        lane evaluates and blocks in a scalar rig like a fresh guard.
+
+        Left bound to the finished run's lane pack, it would queue every
+        packet into a pack that never decides again: no evaluation, no
+        block — the guard would fail open.
+        """
+        tight = SafetyThresholds(
+            motor_velocity=np.full(3, 1e-9),
+            motor_acceleration=np.full(3, 1e-9),
+            joint_velocity=np.full(3, 1e-9),
+        )
+
+        def guard():
+            return make_detector_guard(tight, strategy=MitigationStrategy.BLOCK)
+
+        def config():
+            return RigConfig(seed=2, duration_s=0.6, trajectory_name="circle")
+
+        reused = guard()
+        BatchedSurgicalRig(
+            [LaneSpec(config(), guard=reused), LaneSpec(config(), guard=guard())]
+        ).run()
+        assert reused.stats.blocked > 0
+        reused.reset()
+        fresh = guard()
+        traces = [LaneSpec(config(), guard=g).build().run() for g in (reused, fresh)]
+        assert fresh.stats.packets_evaluated > 0 and fresh.stats.blocked > 0
+        assert reused.stats.snapshot() == fresh.stats.snapshot()
+        assert traces[0].fingerprint() == traces[1].fingerprint()
+
+    def test_guards_that_cannot_share_a_pack_are_refused(self):
+        """The rig applies the fleet's pack rule, before binding a guard."""
+        euler = monitor_guard()
+        rk4 = make_detector_guard(detection_thresholds(), integrator="rk4")
+        config = RigConfig(seed=1, duration_s=0.1)
+        with pytest.raises(DetectorError, match="integrator 'rk4'"):
+            BatchedSurgicalRig(
+                [LaneSpec(config, guard=euler), LaneSpec(config, guard=rk4)]
+            )
+        assert euler._batch_sink is None and rk4._batch_sink is None
 
 
 class TestLaneRemoval:

@@ -193,6 +193,57 @@ class TestScenarioBForensics:
         assert on == off
         assert guard_on.stats.alerts == guard_off.stats.alerts
 
+    def test_batched_lanes_record_what_scalar_rigs_record(
+        self, obs_env, loose_thresholds
+    ):
+        """Each lane's ring in a batched rig equals its scalar rig's.
+
+        The lane pack fills the forensic stash of clear lanes only for
+        rigs with a flight recorder; a fault-free lane (every evaluation
+        clear) and a scenario-B BLOCK lane (clear, alerting and blocked
+        cycles) must leave the same margins, estimates, alerts and
+        blocked flags cycle by cycle.
+        """
+        from repro.sim.batch import BatchedSurgicalRig, LaneSpec
+        from repro.sim.rig import RigConfig
+        from repro.sim.runner import scenario_b_lane
+
+        def lanes():
+            attacked, _, _ = scenario_b_lane(
+                seed=self.SEED,
+                error_dac=self.ERROR_DAC,
+                period_ms=self.PERIOD_MS,
+                duration_s=self.DURATION_S,
+                attack_delay_cycles=self.ATTACK_DELAY,
+                guard=make_detector_guard(
+                    loose_thresholds, strategy=MitigationStrategy.BLOCK
+                ),
+            )
+            fault_free = LaneSpec(
+                RigConfig(seed=3, duration_s=self.DURATION_S),
+                guard=make_detector_guard(
+                    loose_thresholds, strategy=MitigationStrategy.BLOCK
+                ),
+            )
+            return [attacked, fault_free]
+
+        scalar_rigs = [spec.build() for spec in lanes()]
+        for rig in scalar_rigs:
+            rig.run()
+        batched = BatchedSurgicalRig(lanes())
+        batched.run()
+
+        for scalar, lane in zip(scalar_rigs, batched.rigs):
+            expected = [r.to_dict() for r in scalar.flight.records()]
+            assert [r.to_dict() for r in lane.flight.records()] == expected
+        attacked, fault_free = (
+            [r.to_dict() for r in rig.flight.records()] for rig in batched.rigs
+        )
+        assert any(r["blocked"] for r in attacked)
+        clear = [r for r in fault_free if r["margins"] is not None]
+        assert clear and not any(r["alert"] for r in clear)
+        assert all(r["est_motor_velocity"] is not None for r in clear)
+
     def test_fault_free_run_leaves_no_dump(self, obs_env):
         run_fault_free(seed=3, duration_s=0.4)
         flight_dir = obs_env / "flight"
