@@ -30,7 +30,7 @@ def test_model_step(benchmark, integrator):
     benchmark(model.step, q0, v0, [3000, -2000, 1000])
 
 
-def test_fig8_artifact(artifact_writer, scale, benchmark):
+def test_fig8_artifact(artifact_writer, host_stamp, scale, benchmark):
     rows = benchmark.pedantic(
         run_fig8,
         kwargs={
@@ -40,7 +40,7 @@ def test_fig8_artifact(artifact_writer, scale, benchmark):
         rounds=1,
         iterations=1,
     )
-    artifact_writer("fig8_model_validation", format_results(rows))
+    artifact_writer("fig8_model_validation", f"{host_stamp}\n\n{format_results(rows)}")
 
     by_name = {r.integrator: r for r in rows}
     euler, rk4 = by_name["euler"], by_name["rk4"]

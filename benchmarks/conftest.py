@@ -26,6 +26,8 @@ replay benchmarks share.
 from __future__ import annotations
 
 import os
+import platform
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -34,7 +36,8 @@ from repro.experiments.calibration import get_thresholds
 from repro.experiments.parallel import resolve_jobs
 from repro.experiments.scale import current_scale
 
-RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
+ROOT_DIR = Path(__file__).resolve().parent.parent
+RESULTS_DIR = ROOT_DIR / "results"
 
 
 @pytest.fixture(scope="session")
@@ -66,6 +69,33 @@ def artifact_writer():
         print(f"\n----- {name} -----\n{content}\n")
 
     return write
+
+
+@pytest.fixture(scope="session")
+def host_stamp():
+    """One line naming what an artifact was measured on: core count, CPU
+    model, Python, numpy and the source commit (``-dirty`` when the
+    working tree differs from it)."""
+    import numpy as np
+
+    cpu = platform.processor() or platform.machine()
+    cpuinfo = Path("/proc/cpuinfo")
+    if cpuinfo.exists():
+        for line in cpuinfo.read_text().splitlines():
+            if line.startswith("model name"):
+                cpu = line.split(":", 1)[1].strip()
+                break
+    try:
+        commit = subprocess.run(
+            ["git", "describe", "--always", "--dirty"],
+            cwd=ROOT_DIR, capture_output=True, text=True, check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        commit = "none"
+    return (
+        f"host: {os.cpu_count()} cpu(s), {cpu}; python {platform.python_version()}; "
+        f"numpy {np.__version__}; commit {commit}"
+    )
 
 
 # --- batched execution ------------------------------------------------------

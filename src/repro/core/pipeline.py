@@ -534,6 +534,10 @@ class LanePack:
         # Lanes whose clear verdicts also fill the guard's forensic stash
         # (a flight recorder reads it every cycle).
         self._stash = [False] * len(guards)
+        # Telemetry (REPRO_OBS): a round's estimate + detect time, shared
+        # out to each evaluated lane's repro_guard_eval_seconds.  None when
+        # disabled, so the round then pays one is-None branch.
+        self._obs_eval_probe = Stopwatch() if get_runtime().enabled else None
 
     @property
     def num_lanes(self) -> int:
@@ -601,8 +605,19 @@ class LanePack:
             eval_mask = _lane_mask(num, eval_lanes)
             dac_rows = np.zeros((num, 3))
             dac_rows[eval_lanes] = [packet.dac_values[:3] for _, packet in evaluated]
-            estimate = self.estimator.estimate(dac_rows, eval_mask)
-            result = self.detector.evaluate(estimate, eval_mask)
+            probe = self._obs_eval_probe
+            if probe is not None:
+                with probe:
+                    estimate = self.estimator.estimate(dac_rows, eval_mask)
+                    result = self.detector.evaluate(estimate, eval_mask)
+                share = probe.elapsed_s / len(evaluated)
+                for lane in eval_lanes:
+                    histogram = self.guards[lane]._obs_eval_seconds
+                    if histogram is not None:
+                        histogram.observe(share)
+            else:
+                estimate = self.estimator.estimate(dac_rows, eval_mask)
+                result = self.detector.evaluate(estimate, eval_mask)
             alerts = result.alert.tolist()
             for lane, packet in evaluated:
                 guard = self.guards[lane]

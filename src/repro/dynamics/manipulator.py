@@ -14,45 +14,57 @@ joint axes:
 - the instrument (plus carriage) of mass ``m3`` sits at the insertion depth
   ``d`` along the same direction.
 
-With point positions ``p_k = f_k(q)`` and Jacobians ``J_k = dp_k/dq``, the
-standard Lagrangian form follows exactly:
+Turning joint 1 (axis ``z``) or joint 2 (axis ``a2``) moves ``u`` along
+``e0 = z x u`` or ``e1 = a2 x u``, so the point-mass Jacobians are
+``J3 = [d e0, d e1, u]`` and ``J2 = r2 [e0, e1, 0]``, and the Lagrangian
+terms are, in closed form:
 
-    M(q)        = M0 + sum_k m_k J_k^T J_k
-    C(q, qdot)qdot = sum_k m_k J_k^T (Jdot_k qdot)
-    g(q)        = -sum_k m_k J_k^T gravity_vector
+    M(q)           = M0 + (m3 d^2 + m2 r2^2) Gram(e0, e1) + m3 on the d axis
+    C(q, qdot)qdot = m3 J3^T (Jdot3 qdot) + m2 J2^T (Jdot2 qdot)
+    g(q)           = 9.81 * (z-row of m3 J3 + m2 J2)
 
-``Jdot_k qdot`` is evaluated by a directional finite difference of the
-analytic Jacobian along ``qdot`` (exact as the step goes to zero; the step
-used is far below any scale that matters at surgical velocities).
+With ``w = qdot1 z + qdot2 a2`` and ``v = w x u = qdot1 e0 + qdot2 e1``,
+``Jdot3 qdot = 2 ddot v + d B`` and ``Jdot2 qdot = r2 B`` where
+``B = w x v + qdot1 qdot2 (z x a2) x u``.  Its projections onto ``e0``,
+``e1`` and ``u`` reduce to a few products of the Gram entries (see
+:func:`link_terms`).  Gravity and the base axis are both vertical, so
+every term is invariant under joint 1: the kernel works in the frame
+turned by ``-q1`` about ``z`` and never evaluates ``sin(q1)``.
+
+:func:`link_terms` and :func:`link_acceleration` are written once, on
+arithmetic alone, and run unchanged on Python floats (one arm,
+:class:`ManipulatorDynamics`) and on ``(N,)`` numpy columns (N lanes,
+:class:`repro.dynamics.batch.BatchedManipulatorDynamics`).  Each lane of
+the batch therefore reproduces the scalar arm bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.dynamics.friction import FrictionModel
-from repro.kinematics.jacobian import position_jacobian
 from repro.kinematics.spherical_arm import ArmGeometry, SphericalArm
 
 #: Gravitational acceleration vector in the world frame (z up), m/s^2.
 GRAVITY = np.array([0.0, 0.0, -9.81])
 
-#: Step used for the directional finite difference of the Jacobian.
-_JDOT_EPS = 1e-6
+#: Magnitude of :data:`GRAVITY`, as the float the kernel multiplies by.
+_G = -float(GRAVITY[2])
 
-#: Joint-velocity norm below which Coriolis terms are treated as zero
-#: (avoids dividing by a vanishing speed in the finite difference).
-_SPEED_EPS = 1e-12
+#: A Python float (one arm) or an ``(N,)`` float64 column (N lanes).
+Scalar = Any
 
 
-def _solve3(m: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve the symmetric 3x3 system ``m @ x = b`` by Cramer's rule.
+def _solve3(m: Sequence[Sequence[Scalar]], b: Sequence[Scalar]) -> Tuple[Scalar, ...]:
+    """Solve the 3x3 system ``m @ x = b`` by Cramer's rule.
 
     ~5x faster than ``np.linalg.solve`` at this size; the inertia matrix is
     positive definite so the determinant is safely bounded away from zero.
+    Runs on floats or on ``(N,)`` columns alike.
     """
     a00, a01, a02 = m[0]
     a10, a11, a12 = m[1]
@@ -77,7 +89,122 @@ def _solve3(m: np.ndarray, b: np.ndarray) -> np.ndarray:
         + a01 * (b1 * a20 - a10 * b2)
         + b0 * c02
     ) / det
-    return np.array([x0, x1, x2])
+    return x0, x1, x2
+
+
+def arm_constants(geometry: ArmGeometry) -> Tuple[float, ...]:
+    """Geometry constants of the kernel, shared by every lane of a batch."""
+    sa1, ca1 = math.sin(geometry.alpha1), math.cos(geometry.alpha1)
+    sa2, ca2 = math.sin(geometry.alpha2), math.cos(geometry.alpha2)
+    sa2_sq = sa2 * sa2
+    return sa1, ca1, sa2, ca2, sa1 * ca2, ca1 * ca2, ca1 * sa2_sq, sa2_sq
+
+
+def lane_constants(params: "ManipulatorParameters") -> Tuple[float, ...]:
+    """Inertial constants of the kernel for one arm (one lane of a batch)."""
+    i1, i2, i3 = params.base_inertias.tolist()
+    m2r2 = params.link2_mass * params.link2_com_radius
+    m3 = params.instrument_mass
+    return i1, i2, i3 + m3, m3, m2r2, m2r2 * params.link2_com_radius
+
+
+def link_terms(
+    sin: Callable[[Scalar], Scalar],
+    cos: Callable[[Scalar], Scalar],
+    arm: Sequence[float],
+    lane: Sequence[Scalar],
+    q2: Scalar,
+    d: Scalar,
+    w1: Scalar,
+    w2: Scalar,
+    w3: Scalar,
+) -> Tuple[Tuple[Scalar, ...], Tuple[Scalar, ...], Tuple[Scalar, ...]]:
+    """M(q), C(q, qdot)qdot and g(q) of the link chain, in closed form.
+
+    ``arm`` is :func:`arm_constants`, ``lane`` is :func:`lane_constants`
+    (or its stacked ``(N,)`` columns), ``(w1, w2, w3)`` is ``qdot``.
+    Returns ``(m00, m01, m11, m22)`` (``M`` is symmetric with
+    ``m02 = m12 = 0``), ``(c0, c1, c2)`` and ``(g1, g2)`` (``g0 = 0``: the
+    base axis is vertical).
+    """
+    sa1, ca1, sa2, ca2, sa1ca2, ca1ca2, ca1sa2_sq, g11 = arm
+    i1, i2, i33, m3, m2r2, m2r2_sq = lane
+    # In the joint-1 frame: u = (s, uy, uz), e0 = (-uy, s, 0),
+    # e1 = (c, ca1 s, sa1 s); |e1|^2 = sin^2(alpha2) = g11.
+    s = sa2 * sin(q2)
+    c = sa2 * cos(q2)
+    uy = -ca1 * c - sa1ca2
+    uz = ca1ca2 - sa1 * c
+    e1z = sa1 * s
+    g00 = s * s + uy * uy
+    g01 = ca1sa2_sq + sa1ca2 * c
+    k = m3 * d * d + m2r2_sq
+    mass = (i1 + k * g00, k * g01, i2 + k * g11, i33)
+    gravity = (_G * (m3 * d + m2r2) * e1z, _G * m3 * uz)
+    # C = (2 m3 d ddot e0.v + k e0.B, 2 m3 d ddot e1.v + k e1.B, m3 d u.B)
+    # with e.v from the Gram entries (v = w1 e0 + w2 e1), and
+    # e0.B = -e1z w2 (2 uz w1 + ca2 w2), e1.B = e1z uz w1^2, u.B = -|v|^2.
+    ev0 = w1 * g00 + w2 * g01
+    ev1 = w1 * g01 + w2 * g11
+    p = 2.0 * m3 * d * w3
+    ke = k * e1z
+    coriolis = (
+        p * ev0 - ke * w2 * (2.0 * uz * w1 + ca2 * w2),
+        p * ev1 + ke * uz * w1 * w1,
+        -m3 * d * (w1 * ev0 + w2 * ev1),
+    )
+    return mass, coriolis, gravity
+
+
+def link_acceleration(
+    sin: Callable[[Scalar], Scalar],
+    cos: Callable[[Scalar], Scalar],
+    arm: Sequence[float],
+    lane: Sequence[Scalar],
+    include_coriolis: bool,
+    include_gravity: bool,
+    q: Sequence[Scalar],
+    qdot: Sequence[Scalar],
+    tau: Sequence[Scalar],
+    friction: Sequence[Scalar],
+    extra_inertia: Optional[Sequence[Sequence[float]]],
+    extra_damping: Optional[Sequence[Sequence[float]]],
+) -> Tuple[Scalar, ...]:
+    """Joint accelerations ``(M + M_extra)^-1 (tau - f - g - C qdot - D qdot)``.
+
+    ``friction`` is the friction force ``f`` already evaluated at ``qdot``;
+    ``extra_inertia``/``extra_damping`` (``M_extra``, ``D``) are 3x3 nested
+    float rows (the motor rotors' reflected inertia and damping) or ``None``.
+    """
+    w1, w2, w3 = qdot
+    (m00, m01, m11, m22), coriolis, gravity = link_terms(
+        sin, cos, arm, lane, q[1], q[2], w1, w2, w3
+    )
+    r0 = tau[0] - friction[0]
+    r1 = tau[1] - friction[1]
+    r2 = tau[2] - friction[2]
+    if include_gravity:
+        r1 = r1 - gravity[0]
+        r2 = r2 - gravity[1]
+    if include_coriolis:
+        r0 = r0 - coriolis[0]
+        r1 = r1 - coriolis[1]
+        r2 = r2 - coriolis[2]
+    if extra_damping is not None:
+        (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = extra_damping
+        r0 = r0 - (b00 * w1 + b01 * w2 + b02 * w3)
+        r1 = r1 - (b10 * w1 + b11 * w2 + b12 * w3)
+        r2 = r2 - (b20 * w1 + b21 * w2 + b22 * w3)
+    if extra_inertia is None:
+        rows = ((m00, m01, 0.0), (m01, m11, 0.0), (0.0, 0.0, m22))
+    else:
+        (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = extra_inertia
+        rows = (
+            (m00 + a00, m01 + a01, a02),
+            (m01 + a10, m11 + a11, a12),
+            (a20, a21, m22 + a22),
+        )
+    return _solve3(rows, (r0, r1, r2))
 
 
 @dataclass(frozen=True)
@@ -125,6 +252,12 @@ class ManipulatorParameters:
         )
 
 
+def _floats(values: Any) -> list:
+    """Python floats (nested for a matrix): their arithmetic is ~3x faster
+    than numpy float64 scalars'."""
+    return np.asarray(values, dtype=float).tolist()
+
+
 class ManipulatorDynamics:
     """Computes M(q), Coriolis and gravity forces for the positioning arm."""
 
@@ -141,65 +274,36 @@ class ManipulatorDynamics:
         self.friction = friction or FrictionModel()
         self.include_coriolis = include_coriolis
         self.include_gravity = include_gravity
-        self._m0 = np.diag(self.params.base_inertias).astype(float)
+        self.arm_constants = arm_constants(self.arm.geometry)
+        self.lane_constants = lane_constants(self.params)
 
-    # -- point-mass Jacobians -------------------------------------------------
-
-    def _instrument_jacobian(self, q: np.ndarray) -> np.ndarray:
-        """Jacobian of the instrument point mass at depth ``q[2]``."""
-        return position_jacobian(self.arm, q)
-
-    def _link2_jacobian(self, q: np.ndarray) -> np.ndarray:
-        """Jacobian of link 2's lumped mass (fixed radius, no d column)."""
-        q_fixed = np.array([q[0], q[1], self.params.link2_com_radius])
-        jac = position_jacobian(self.arm, q_fixed)
-        jac[:, 2] = 0.0  # link-2 COM does not move with insertion
-        return jac
+    def _terms(self, q: np.ndarray, qdot: Optional[np.ndarray] = None):
+        _, q2, d = _floats(q)
+        w1, w2, w3 = (0.0, 0.0, 0.0) if qdot is None else _floats(qdot)
+        return link_terms(
+            math.sin, math.cos, self.arm_constants, self.lane_constants,
+            q2, d, w1, w2, w3,
+        )
 
     # -- dynamics terms -------------------------------------------------------
 
     def mass_matrix(self, q: np.ndarray) -> np.ndarray:
         """Joint-space inertia matrix M(q) of the links (without rotors)."""
-        p = self.params
-        j3 = self._instrument_jacobian(q)
-        j2 = self._link2_jacobian(q)
-        m = np.diag(p.base_inertias).astype(float)
-        m += p.instrument_mass * (j3.T @ j3)
-        m += p.link2_mass * (j2.T @ j2)
-        return m
+        (m00, m01, m11, m22), _, _ = self._terms(q)
+        return np.array([[m00, m01, 0.0], [m01, m11, 0.0], [0.0, 0.0, m22]])
 
     def coriolis_force(self, q: np.ndarray, qdot: np.ndarray) -> np.ndarray:
         """Coriolis/centrifugal generalized force ``C(q, qdot) @ qdot``."""
         if not self.include_coriolis:
             return np.zeros(3)
-        p = self.params
-        qdot = np.asarray(qdot, dtype=float)
-        speed = float(np.linalg.norm(qdot))
-        if speed < _SPEED_EPS:
-            return np.zeros(3)
-        eps = _JDOT_EPS / speed
-        q_ahead = np.asarray(q, dtype=float) + eps * qdot
-        force = np.zeros(3)
-        for mass, jac_fn in (
-            (p.instrument_mass, self._instrument_jacobian),
-            (p.link2_mass, self._link2_jacobian),
-        ):
-            jac = jac_fn(q)
-            jdot_qdot = (jac_fn(q_ahead) - jac) @ qdot / eps
-            force += mass * (jac.T @ jdot_qdot)
-        return force
+        return np.array(self._terms(q, qdot)[1])
 
     def gravity_force(self, q: np.ndarray) -> np.ndarray:
         """Gravity generalized force (put on the LHS of the EOM)."""
         if not self.include_gravity:
             return np.zeros(3)
-        p = self.params
-        j3 = self._instrument_jacobian(q)
-        j2 = self._link2_jacobian(q)
-        return -(
-            p.instrument_mass * (j3.T @ GRAVITY)
-            + p.link2_mass * (j2.T @ GRAVITY)
-        )
+        g1, g2 = self._terms(q)[2]
+        return np.array([0.0, g1, g2])
 
     def friction_force(self, qdot: np.ndarray) -> np.ndarray:
         """Joint friction generalized force opposing motion."""
@@ -218,42 +322,28 @@ class ManipulatorDynamics:
         ``extra_inertia``/``extra_damping`` let the plant add the motor
         rotors' reflected inertia and damping without re-deriving the EOM.
 
-        This is the hot path of every derivative evaluation, so the point-
-        mass Jacobians are computed once and shared between the inertia,
-        Coriolis and gravity terms (the split ``mass_matrix`` /
-        ``coriolis_force`` / ``gravity_force`` methods remain for tests and
-        offline analysis).
+        This is the hot path of every derivative evaluation: the inputs
+        become Python floats once and :func:`link_acceleration` runs on
+        them; friction's ``tanh`` stays on numpy so a batch lane gets the
+        same bits.
         """
-        p = self.params
-        q = np.asarray(q, dtype=float)
         qdot = np.asarray(qdot, dtype=float)
-        j3 = self._instrument_jacobian(q)
-        j2 = self._link2_jacobian(q)
-
-        m = self._m0 + p.instrument_mass * (j3.T @ j3) + p.link2_mass * (j2.T @ j2)
-        if extra_inertia is not None:
-            m = m + extra_inertia
-
-        rhs = np.asarray(tau, dtype=float) - self.friction_force(qdot)
-
-        if self.include_gravity:
-            # J.T @ (0, 0, -9.81) is just -9.81 times the third row of J.
-            rhs += (GRAVITY[2] * p.instrument_mass) * j3[2, :]
-            rhs += (GRAVITY[2] * p.link2_mass) * j2[2, :]
-
-        if self.include_coriolis:
-            speed = float(np.linalg.norm(qdot))
-            if speed > _SPEED_EPS:
-                eps = _JDOT_EPS / speed
-                q_ahead = q + eps * qdot
-                j3a = self._instrument_jacobian(q_ahead)
-                j2a = self._link2_jacobian(q_ahead)
-                rhs -= p.instrument_mass * (j3.T @ ((j3a - j3) @ qdot / eps))
-                rhs -= p.link2_mass * (j2.T @ ((j2a - j2) @ qdot / eps))
-
-        if extra_damping is not None:
-            rhs = rhs - extra_damping @ qdot
-        return _solve3(m, rhs)
+        return np.array(
+            link_acceleration(
+                math.sin,
+                math.cos,
+                self.arm_constants,
+                self.lane_constants,
+                self.include_coriolis,
+                self.include_gravity,
+                _floats(q),
+                qdot.tolist(),
+                _floats(tau),
+                self.friction.torque(qdot).tolist(),
+                None if extra_inertia is None else _floats(extra_inertia),
+                None if extra_damping is None else _floats(extra_damping),
+            )
+        )
 
     def gravity_compensation(self, q: np.ndarray) -> np.ndarray:
         """Joint torques that exactly cancel gravity at pose ``q``."""

@@ -25,8 +25,9 @@ _Z_HAT = np.array([0.0, 0.0, 1.0])
 def position_jacobian(arm: SphericalArm, q: np.ndarray) -> np.ndarray:
     """3x3 Jacobian of the tool-tip position w.r.t. ``q = (q1, q2, d)``.
 
-    Hand-expanded cross products: this routine is evaluated several times
-    per dynamics derivative call, so it avoids ``np.cross`` overhead.
+    Hand-expanded cross products, avoiding ``np.cross`` overhead.  The
+    link dynamics use the same columns in closed form
+    (:func:`repro.dynamics.manipulator.link_terms`).
     """
     q1, q2, d = float(q[0]), float(q[1]), float(q[2])
     ux, uy, uz = arm.tool_axis(q1, q2)

@@ -82,8 +82,8 @@ class SphericalArm:
         """Unit vector along the instrument axis in the world frame.
 
         Closed-form expansion of ``Rz(q1) Rx(a1) Rz(q2) Rx(a2) z_hat`` —
-        this is the hottest kinematic routine (the dynamics evaluate it
-        several times per derivative call), so it avoids matrix products.
+        forward kinematics runs every control cycle, so it avoids matrix
+        products.
         """
         sa1, ca1 = self._sin_a1, self._cos_a1
         sa2, ca2 = self._sin_a2, self._cos_a2

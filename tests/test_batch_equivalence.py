@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     AnomalyDetector,
@@ -34,6 +36,14 @@ from repro.core import (
     SafetyThresholds,
     StateEstimate,
     SupervisorConfig,
+)
+from repro.dynamics import (
+    BatchedManipulatorDynamics,
+    BatchedPlant,
+    FrictionModel,
+    ManipulatorDynamics,
+    ManipulatorParameters,
+    RavenPlant,
 )
 from repro.errors import DetectorError
 from repro.sim.batch import BatchedSurgicalRig, LaneSpec
@@ -741,6 +751,79 @@ class TestLaneCheckpointParity:
         batched.sync(mpos)
         for lane, scalar in enumerate(scalars):
             assert batched.lane_state(lane) == scalar.snapshot()
+
+
+class TestArmKernelLanes:
+    """The closed-form arm kernel gives each lane the scalar arm's bits,
+    at N=1, at N=16 and in any lane order, with a still lane among
+    moving ones (no speed branch to select)."""
+
+    @staticmethod
+    def lanes_and_states(num: int, seed: int):
+        rng = np.random.default_rng(seed)
+        lanes = [
+            ManipulatorDynamics(
+                params=ManipulatorParameters().scaled(float(rng.uniform(0.6, 1.6))),
+                friction=FrictionModel().scaled(float(rng.uniform(0.6, 1.6))),
+            )
+            for _ in range(num)
+        ]
+        q = np.column_stack([
+            rng.uniform(-1.2, 1.2, num),
+            rng.uniform(0.3, 2.8, num),
+            rng.uniform(0.05, 0.30, num),
+        ])
+        qdot = rng.uniform(-1.0, 1.0, (num, 3)) * np.array([1.0, 1.0, 0.1])
+        qdot[num // 2] = 0.0
+        tau = rng.uniform(-3.0, 3.0, (num, 3))
+        return lanes, q, qdot, tau
+
+    @staticmethod
+    def assert_lanes_equal_scalar(lanes, q, qdot, tau):
+        plant = RavenPlant()
+        extra = (plant._reflected_inertia, plant._reflected_damping)
+        batch = BatchedManipulatorDynamics(lanes)
+        acc = batch.acceleration(q, qdot, tau, *extra)
+        m = batch.mass_matrix(q)
+        c = batch.coriolis_force(q, qdot)
+        g = batch.gravity_force(q)
+        for i, lane in enumerate(lanes):
+            assert np.array_equal(acc[i], lane.acceleration(q[i], qdot[i], tau[i], *extra))
+            assert np.array_equal(m[i], lane.mass_matrix(q[i]))
+            assert np.array_equal(c[i], lane.coriolis_force(q[i], qdot[i]))
+            assert np.array_equal(g[i], lane.gravity_force(q[i]))
+        return acc
+
+    @given(seed=st.integers(0, 2**32 - 1), num=st.sampled_from([1, 16]))
+    @settings(max_examples=20, deadline=None)
+    def test_lanes_equal_scalar_bits(self, seed, num):
+        self.assert_lanes_equal_scalar(*self.lanes_and_states(num, seed))
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_lane_permutation_permutes_bits(self, seed):
+        lanes, q, qdot, tau = self.lanes_and_states(16, seed)
+        direct = self.assert_lanes_equal_scalar(lanes, q, qdot, tau)
+        perm = np.random.default_rng(seed).permutation(16)
+        permuted = self.assert_lanes_equal_scalar(
+            [lanes[j] for j in perm], q[perm], qdot[perm], tau[perm]
+        )
+        assert np.array_equal(permuted, direct[perm])
+
+    def test_plant_step_with_a_still_lane(self):
+        lanes, q, qdot, _ = self.lanes_and_states(16, seed=5)
+        plants = []
+        for lane, qi, wi in zip(lanes, q, qdot):
+            plant = RavenPlant(dynamics=lane, initial_jpos=qi)
+            plant.release_brakes()
+            plant.set_state(qi, wi)
+            plants.append(plant)
+        batch = BatchedPlant(plants)
+        dac = np.random.default_rng(6).integers(-20000, 20000, (16, 3)).astype(float)
+        batch.step(dac)
+        for i, plant in enumerate(plants):
+            plant.step(dac[i])
+            assert np.array_equal(batch._y[i], plant._y)
 
 
 class TestHarness:

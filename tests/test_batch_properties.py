@@ -33,8 +33,7 @@ from repro.dynamics.plant import dac_to_current
 pytestmark = pytest.mark.batch
 
 # Joint states within the RAVEN workspace (same ranges the scalar
-# property tests use), plus tiny/zero velocities to cross the Coriolis
-# still-arm branch.
+# property tests use), plus tiny/zero velocities for an arm at rest.
 joint_vectors = st.tuples(
     st.floats(-1.0, 1.0),
     st.floats(0.5, 2.6),
@@ -101,8 +100,8 @@ class TestManipulatorKernels:
     @given(scales=lane_batches, q=joint_vectors, qdot=slow_velocities, tau=torques)
     @settings(max_examples=15, deadline=None)
     def test_acceleration_still_arm_branch(self, scales, q, qdot, tau):
-        """Near-zero velocities cross the Coriolis epsilon branch; the
-        batched ``np.where`` selection must still match scalar exactly."""
+        """Near-zero velocities (an arm at or close to rest) match the
+        scalar arm exactly too."""
         lanes = [make_lane(s) for s in scales]
         batched = BatchedManipulatorDynamics(lanes)
         n = len(lanes)

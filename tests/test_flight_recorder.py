@@ -244,6 +244,42 @@ class TestScenarioBForensics:
         assert clear and not any(r["alert"] for r in clear)
         assert all(r["est_motor_velocity"] is not None for r in clear)
 
+    def test_batched_rig_times_guard_evaluations_like_scalar_rigs(
+        self, obs_env, loose_thresholds
+    ):
+        """``repro_guard_eval_seconds`` counts one observation per
+        evaluated packet whether the guards run inline or as lanes of a
+        batched rig (where each lane gets its share of the round)."""
+        from repro.sim.batch import BatchedSurgicalRig, LaneSpec
+        from repro.sim.rig import RigConfig
+
+        def lanes():
+            return [
+                LaneSpec(
+                    RigConfig(seed=seed, duration_s=0.5),
+                    guard=make_detector_guard(
+                        loose_thresholds, strategy=MitigationStrategy.BLOCK
+                    ),
+                )
+                for seed in (3, 4)
+            ]
+
+        def counts():
+            registry = get_runtime().registry
+            return (
+                registry.histogram("repro_guard_eval_seconds").count,
+                registry.counter("repro_detector_evaluations_total").value,
+            )
+
+        for spec in lanes():
+            spec.build().run()
+        scalar = counts()
+        reset_runtime()
+        BatchedSurgicalRig(lanes()).run()
+        batched = counts()
+        assert scalar[0] == scalar[1] > 0
+        assert batched == scalar
+
     def test_fault_free_run_leaves_no_dump(self, obs_env):
         run_fault_free(seed=3, duration_s=0.4)
         flight_dir = obs_env / "flight"
